@@ -5,8 +5,8 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "core/grouped_validator.h"
 #include "core/incremental_auditor.h"
+#include "validation/validate.h"
 #include "util/stopwatch.h"
 
 int main(int argc, char** argv) {
@@ -40,8 +40,10 @@ int main(int argc, char** argv) {
         GEOLIC_CHECK(accumulated.Append(records[i]).ok());
       }
       Stopwatch timer;
-      Result<GroupedValidationResult> audit =
-          ValidateGroupedFromLog(*workload.licenses, accumulated);
+      ValidateOptions options;
+      options.mode = ValidationMode::kGrouped;
+      Result<ValidationOutcome> audit =
+          Validate(*workload.licenses, accumulated, options);
       GEOLIC_CHECK(audit.ok());
       full_ms += timer.ElapsedMillis();
       full_equations += audit->report.equations_evaluated;

@@ -1,7 +1,8 @@
 // Ablation: online (per-issuance) validation with and without grouping.
 // Section 2.1 of the paper: a new license whose satisfying set has k
 // licenses touches 2^(N−k) equations; restricting to the license's overlap
-// group shrinks that to 2^(N_g−k). Machine-readable: --json_out=<path>.
+// group shrinks that to 2^(N_g−k). Admission runs on a one-shard
+// IssuanceService (shard_hint = 1). Machine-readable: --json_out=<path>.
 #include <algorithm>
 #include <cstdio>
 #include <limits>
@@ -10,7 +11,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "core/online_validator.h"
+#include "service/issuance_service.h"
 #include "util/random.h"
 #include "util/stopwatch.h"
 #include "workload/workload.h"
@@ -29,10 +30,11 @@ struct OnlineFixture {
     workload = std::make_unique<Workload>(*std::move(generated));
     OnlineValidatorOptions options;
     options.use_grouping = use_grouping;
-    Result<OnlineValidator> created =
-        OnlineValidator::Create(workload->licenses.get(), options);
+    options.shard_hint = 1;
+    Result<std::unique_ptr<IssuanceService>> created =
+        IssuanceService::Create(workload->licenses.get(), options);
     GEOLIC_CHECK(created.ok());
-    validator = std::make_unique<OnlineValidator>(*std::move(created));
+    service = *std::move(created);
     Rng rng(77);
     for (int i = 0; i < 512; ++i) {
       const int parent = static_cast<int>(
@@ -42,7 +44,7 @@ struct OnlineFixture {
     }
   }
   std::unique_ptr<Workload> workload;
-  std::unique_ptr<OnlineValidator> validator;
+  std::unique_ptr<IssuanceService> service;
   std::vector<License> queries;
 };
 
@@ -52,13 +54,13 @@ struct IssueLoopResult {
 };
 
 // `issues` TryIssue calls cycling the query pool against a fresh
-// validator; the running state accumulates exactly as in production.
+// service; the running state accumulates exactly as in production.
 IssueLoopResult RunIssueLoop(int n, bool use_grouping, int issues) {
   OnlineFixture fixture(n, use_grouping);
   uint64_t equations = 0;
   Stopwatch timer;
   for (int i = 0; i < issues; ++i) {
-    const Result<OnlineDecision> decision = fixture.validator->TryIssue(
+    const Result<OnlineDecision> decision = fixture.service->TryIssue(
         fixture.queries[static_cast<size_t>(i) % fixture.queries.size()]);
     GEOLIC_CHECK(decision.ok());
     equations += decision->equations_checked;

@@ -9,16 +9,13 @@
 
 #include "validation/validate.h"
 #include "bench/bench_util.h"
-#include "core/parallel_validator.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
 
 namespace geolic {
 namespace {
 
-// Adapters over the Validate facade (the pre-facade bare entry points
-// ValidateExhaustive/ValidateExhaustiveLimited/ValidateZeta were folded
-// into Validate; see validation/validate.h).
+// Adapters over the Validate facade (validation/validate.h).
 Result<ValidationReport> RunExhaustive(
     const ValidationTree& tree, const std::vector<int64_t>& aggregates) {
   ValidateOptions options;
@@ -61,12 +58,15 @@ int main(int argc, char** argv) {
     const double seq_ms = seq_timer.ElapsedMillis();
     GEOLIC_CHECK(sequential.ok());
 
+    ValidateOptions par_options;
+    par_options.mode = ValidationMode::kExhaustive;
+    par_options.num_threads = threads;
     Stopwatch par_timer;
-    Result<ValidationReport> parallel =
-        ValidateExhaustiveParallel(*tree, aggregates, threads);
+    Result<ValidationOutcome> parallel = Validate(*tree, aggregates,
+                                                  par_options);
     const double par_ms = par_timer.ElapsedMillis();
     GEOLIC_CHECK(parallel.ok());
-    GEOLIC_CHECK(parallel->violations.size() ==
+    GEOLIC_CHECK(parallel->report.violations.size() ==
                  sequential->violations.size());
 
     Result<ValidationTree> grouped_tree1 =
@@ -76,15 +76,18 @@ int main(int argc, char** argv) {
     GEOLIC_CHECK(grouped_tree1.ok());
     GEOLIC_CHECK(grouped_tree2.ok());
 
+    ValidateOptions grouped_options;
+    grouped_options.mode = ValidationMode::kGrouped;
     Stopwatch seq_grouped_timer;
-    Result<GroupedValidationResult> seq_grouped =
-        ValidateGrouped(*workload.licenses, *std::move(grouped_tree1));
+    Result<ValidationOutcome> seq_grouped = Validate(
+        *workload.licenses, *std::move(grouped_tree1), grouped_options);
     const double seq_grouped_ms = seq_grouped_timer.ElapsedMillis();
     GEOLIC_CHECK(seq_grouped.ok());
 
+    grouped_options.num_threads = threads;
     Stopwatch par_grouped_timer;
-    Result<GroupedValidationResult> par_grouped = ValidateGroupedParallel(
-        *workload.licenses, *std::move(grouped_tree2), threads);
+    Result<ValidationOutcome> par_grouped = Validate(
+        *workload.licenses, *std::move(grouped_tree2), grouped_options);
     const double par_grouped_ms = par_grouped_timer.ElapsedMillis();
     GEOLIC_CHECK(par_grouped.ok());
 

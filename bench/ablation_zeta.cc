@@ -12,9 +12,7 @@
 namespace geolic {
 namespace {
 
-// Adapters over the Validate facade (the pre-facade bare entry points
-// ValidateExhaustive/ValidateExhaustiveLimited/ValidateZeta were folded
-// into Validate; see validation/validate.h).
+// Adapters over the Validate facade (validation/validate.h).
 Result<ValidationReport> RunExhaustive(
     const ValidationTree& tree, const std::vector<int64_t>& aggregates) {
   ValidateOptions options;

@@ -11,15 +11,13 @@
 #include "validation/validate.h"
 #include "bench/bench_util.h"
 #include "core/gain.h"
-#include "core/grouped_validator.h"
+#include "core/grouping.h"
 #include "util/stopwatch.h"
 
 namespace geolic {
 namespace {
 
-// Adapters over the Validate facade (the pre-facade bare entry points
-// ValidateExhaustive/ValidateExhaustiveLimited/ValidateZeta were folded
-// into Validate; see validation/validate.h).
+// Adapters over the Validate facade (validation/validate.h).
 Result<ValidationReport> RunExhaustive(
     const ValidationTree& tree, const std::vector<int64_t>& aggregates) {
   ValidateOptions options;
@@ -70,9 +68,10 @@ int main(int argc, char** argv) {
       Result<ValidationTree> grouped_tree =
           ValidationTree::BuildFromLog(workload.log);
       GEOLIC_CHECK(grouped_tree.ok());
-      Result<GroupedValidationResult> grouped = ValidateGroupedWithGrouping(
-          grouping, workload.licenses->AggregateCounts(),
-          *std::move(grouped_tree));
+      ValidateOptions grouped_options;
+      grouped_options.mode = ValidationMode::kGrouped;
+      Result<ValidationOutcome> grouped = Validate(
+          *workload.licenses, *std::move(grouped_tree), grouped_options);
       GEOLIC_CHECK(grouped.ok());
       proposed_total += grouped->validation_micros;
     }

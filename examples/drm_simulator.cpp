@@ -22,15 +22,16 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "core/online_validator.h"
 #include "drm/distribution_network.h"
 #include "drm/validation_authority.h"
 #include "obs/exposition.h"
 #include "obs/trace.h"
+#include "service/issuance_service.h"
 #include "workload/stats.h"
 #include "util/random.h"
 
@@ -261,12 +262,17 @@ int main(int argc, char** argv) {
   const Result<const LicenseCatalog*> domain_licenses = authority.LicensesFor(key);
   GEOLIC_CHECK(domain_licenses.ok());
   const LogStore concurrent_log = (*service)->CollectLog();
-  const Result<OnlineValidator> replay = OnlineValidator::CreateWithHistory(
-      *domain_licenses, OnlineValidatorOptions(), concurrent_log);
+  OnlineValidatorOptions replay_options;
+  replay_options.shard_hint = 1;
+  const Result<std::unique_ptr<IssuanceService>> replay =
+      IssuanceService::CreateWithHistory(*domain_licenses, replay_options,
+                                         concurrent_log);
   GEOLIC_CHECK(replay.ok());
+  const Result<ValidationTree> replay_tree = (*replay)->CollectTree();
+  GEOLIC_CHECK(replay_tree.ok());
   const Result<ValidationTree> concurrent_tree = (*service)->CollectTree();
   GEOLIC_CHECK(concurrent_tree.ok());
-  GEOLIC_CHECK(concurrent_tree->ToString() == replay->tree().ToString());
+  GEOLIC_CHECK(concurrent_tree->ToString() == replay_tree->ToString());
 
   std::printf("\nConcurrent authority (%d threads, %d overlap groups, "
               "%d lock shards): %d of %d accepted\n",

@@ -13,16 +13,13 @@
 
 #include "validation/validate.h"
 #include "core/gain.h"
-#include "core/grouped_validator.h"
 #include "workload/workload.h"
 #include "util/stopwatch.h"
 
 namespace geolic {
 namespace {
 
-// Adapters over the Validate facade (the pre-facade bare entry points
-// ValidateExhaustive/ValidateExhaustiveLimited/ValidateZeta were folded
-// into Validate; see validation/validate.h).
+// Adapters over the Validate facade (validation/validate.h).
 Result<ValidationReport> RunExhaustive(
     const ValidationTree& tree, const std::vector<int64_t>& aggregates) {
   ValidateOptions options;
@@ -100,8 +97,10 @@ int main() {
   if (!grouped_tree.ok()) {
     return 1;
   }
-  Result<GroupedValidationResult> grouped =
-      ValidateGrouped(*workload->licenses, *std::move(grouped_tree));
+  ValidateOptions grouped_options;
+  grouped_options.mode = ValidationMode::kGrouped;
+  Result<ValidationOutcome> grouped = Validate(
+      *workload->licenses, *std::move(grouped_tree), grouped_options);
   if (!grouped.ok()) {
     return 1;
   }

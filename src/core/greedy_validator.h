@@ -36,7 +36,7 @@ struct GreedyDecision {
 // and deduct the full count from its budget. Correct (never oversells) but
 // lossy — a bad pick strands budget and later issuances are wrongly
 // rejected, even though an assignment satisfying everyone exists. The
-// equation-based OnlineValidator accepts a superset of any greedy
+// equation-based IssuanceService accepts a superset of any greedy
 // validator's stream; bench/ablation_greedy quantifies the utilisation
 // gap per policy.
 class GreedyOnlineValidator {

@@ -17,23 +17,38 @@ namespace {
 
 // The grouped pipeline: grouping + division (D_T), then per-group equation
 // evaluation (V_T) — serially or with one task per group. With
-// `zeta_per_group`, groups up to max_dense_n use the dense engine.
+// `zeta_per_group`, groups up to max_dense_n use the dense engine. Each
+// phase is one span on `tracer`; the per-group engine calls run untraced
+// so no stage is recorded twice.
 Result<ValidationOutcome> RunGrouped(const LicenseCatalog& licenses,
                                      ValidationTree tree, bool zeta_per_group,
-                                     int max_dense_n, int num_threads) {
+                                     int max_dense_n, int num_threads,
+                                     Tracer* tracer) {
   ValidationOutcome outcome;
 
+  // D_T: grouping, division and reindexing, under one kTreeDivision span.
+  struct Division {
+    LicenseGrouping grouping;
+    DividedTrees divided;
+  };
   Stopwatch division_timer;
-  const LicenseGrouping grouping = LicenseGrouping::FromLicenses(licenses);
+  Result<Division> division = [&]() -> Result<Division> {
+    ScopedTracerSpan span(tracer, TraceStage::kTreeDivision);
+    LicenseGrouping grouping = LicenseGrouping::FromLicenses(licenses);
+    GEOLIC_ASSIGN_OR_RETURN(
+        DividedTrees divided,
+        DivideAndReindex(std::move(tree), grouping,
+                         licenses.AggregateCounts()));
+    return Division{std::move(grouping), std::move(divided)};
+  }();
+  outcome.division_micros = division_timer.ElapsedMicros();
+  GEOLIC_RETURN_IF_ERROR(division.status());
+  const LicenseGrouping& grouping = division->grouping;
+  const DividedTrees& divided = division->divided;
   outcome.group_count = grouping.group_count();
   for (int k = 0; k < grouping.group_count(); ++k) {
     outcome.group_sizes.push_back(grouping.GroupSize(k));
   }
-  GEOLIC_ASSIGN_OR_RETURN(
-      DividedTrees divided,
-      DivideAndReindex(std::move(tree), grouping,
-                       licenses.AggregateCounts()));
-  outcome.division_micros = division_timer.ElapsedMicros();
 
   const int g = grouping.group_count();
   const auto validate_group = [&](int k) -> Result<ValidationReport> {
@@ -52,6 +67,7 @@ Result<ValidationOutcome> RunGrouped(const LicenseCatalog& licenses,
   };
 
   Stopwatch validation_timer;
+  ScopedTracerSpan validation_span(tracer, TraceStage::kOfflineValidation);
   std::vector<Result<ValidationReport>> group_reports(
       static_cast<size_t>(g), Status::Internal("not run"));
   if (num_threads > 1 && g > 1) {
@@ -106,7 +122,7 @@ Result<ValidationOutcome> Validate(const LicenseCatalog& licenses,
                           : options.num_threads;
   return RunGrouped(licenses, std::move(tree),
                     mode == ValidationMode::kGroupedZeta,
-                    options.max_dense_n, threads);
+                    options.max_dense_n, threads, options.tracer);
 }
 
 Result<ValidationOutcome> Validate(const LicenseCatalog& licenses,

@@ -121,16 +121,22 @@ Status DistributionNetwork::ReceiveRedistribution(int recipient,
   if (!added.ok()) {
     return added.status();
   }
-  // The grouping changed; rebuild the online validator around the new set
-  // while keeping the already-validated issuance history.
-  const LogStore history =
-      state->validator == nullptr ? LogStore() : state->validator->log();
+  // The grouping changed; rebuild admission around the new set while
+  // keeping the already-validated issuance history.
+  const LogStore history = state->service == nullptr
+                               ? LogStore()
+                               : state->service->CollectLog();
+  return RebuildService(state, history);
+}
+
+Status DistributionNetwork::RebuildService(DistributorState* state,
+                                           const LogStore& history) {
+  OnlineValidatorOptions options;
+  options.shard_hint = 1;
   GEOLIC_ASSIGN_OR_RETURN(
-      OnlineValidator rebuilt,
-      OnlineValidator::CreateWithHistory(state->received.get(),
-                                         OnlineValidatorOptions(), history));
-  state->validator =
-      std::make_unique<OnlineValidator>(std::move(rebuilt));
+      state->service,
+      IssuanceService::CreateWithHistory(state->received.get(), options,
+                                         history));
   return Status::Ok();
 }
 
@@ -147,7 +153,7 @@ Result<OnlineDecision> DistributionNetwork::Issue(int issuer, int recipient,
                                                   const License& license) {
   GEOLIC_ASSIGN_OR_RETURN(DistributorState * state,
                           MutableDistributorState(issuer));
-  if (state->validator == nullptr) {
+  if (state->service == nullptr) {
     return Status::FailedPrecondition(
         parties_[static_cast<size_t>(issuer)].name +
         " holds no redistribution licenses");
@@ -172,7 +178,7 @@ Result<OnlineDecision> DistributionNetwork::Issue(int issuer, int recipient,
   }
 
   GEOLIC_ASSIGN_OR_RETURN(const OnlineDecision decision,
-                          state->validator->TryIssue(license));
+                          state->service->TryIssue(license));
   if (decision.accepted() && license.type() == LicenseType::kRedistribution) {
     GEOLIC_RETURN_IF_ERROR(ReceiveRedistribution(recipient, license));
   }
@@ -194,19 +200,15 @@ Result<LicenseSet> DistributionNetwork::IssueUnchecked(
         "license fails instance-based validation against every received "
         "redistribution license");
   }
-  // Force the record into the validator's history, bypassing aggregate
+  // Force the record into the service's history, bypassing aggregate
   // checks — this is the rights violation the offline audit must detect.
-  LogStore history = state->validator->log();
+  LogStore history = state->service->CollectLog();
   LogRecord record;
   record.issued_license_id = license.id();
   record.set = set;
   record.count = license.aggregate_count();
   GEOLIC_RETURN_IF_ERROR(history.Append(std::move(record)));
-  GEOLIC_ASSIGN_OR_RETURN(
-      OnlineValidator rebuilt,
-      OnlineValidator::CreateWithHistory(state->received.get(),
-                                         OnlineValidatorOptions(), history));
-  state->validator = std::make_unique<OnlineValidator>(std::move(rebuilt));
+  GEOLIC_RETURN_IF_ERROR(RebuildService(state, history));
   return set;
 }
 
@@ -217,11 +219,11 @@ const LicenseCatalog& DistributionNetwork::ReceivedLicenses(int party_id) const 
   return *state->received;
 }
 
-const LogStore& DistributionNetwork::IssuanceLog(int party_id) const {
+LogStore DistributionNetwork::IssuanceLog(int party_id) const {
   GEOLIC_CHECK(party_id >= 0 && party_id < party_count());
   const auto& state = states_[static_cast<size_t>(party_id)];
-  GEOLIC_CHECK(state != nullptr && state->validator != nullptr);
-  return state->validator->log();
+  GEOLIC_CHECK(state != nullptr && state->service != nullptr);
+  return state->service->CollectLog();
 }
 
 Result<DistributorAudit> DistributionNetwork::AuditDistributor(
@@ -237,12 +239,14 @@ Result<DistributorAudit> DistributionNetwork::AuditDistributor(
   DistributorAudit audit;
   audit.party_id = party_id;
   audit.party_name = party.name;
-  if (state->received->empty() || state->validator == nullptr) {
+  if (state->received->empty() || state->service == nullptr) {
     return audit;  // Nothing to audit.
   }
+  ValidateOptions options;
+  options.mode = ValidationMode::kGrouped;
   GEOLIC_ASSIGN_OR_RETURN(
       audit.result,
-      ValidateGroupedFromLog(*state->received, state->validator->log()));
+      Validate(*state->received, state->service->CollectLog(), options));
   return audit;
 }
 

@@ -5,11 +5,11 @@
 #include <string>
 #include <vector>
 
-#include "core/grouped_validator.h"
-#include "core/online_validator.h"
 #include "drm/party.h"
 #include "licensing/license_catalog.h"
+#include "service/issuance_service.h"
 #include "validation/log_store.h"
+#include "validation/validate.h"
 #include "util/status.h"
 
 namespace geolic {
@@ -19,7 +19,7 @@ struct DistributorAudit {
   int party_id = -1;
   std::string party_name;
   // Empty licence set / log ⇒ trivially clean (zero equations).
-  GroupedValidationResult result;
+  ValidationOutcome result;
 };
 
 // Audit of the whole network: one entry per distributor with ≥ 1 received
@@ -43,7 +43,7 @@ struct NetworkAudit {
 // licenses to generate redistribution licenses for sub-distributors and
 // usage licenses for consumers. Every generated license is validated
 // against the issuer's received set (instance-based geometrically,
-// aggregate via the grouped online validator); the authority can also audit
+// aggregate via a one-shard IssuanceService); the authority can also audit
 // any distributor's full log offline with the paper's efficient method.
 //
 // For rights-violation detection experiments, IssueUnchecked lets a rogue
@@ -91,8 +91,8 @@ class DistributionNetwork {
 
   // Redistribution licenses received by a party (empty set for consumers).
   const LicenseCatalog& ReceivedLicenses(int party_id) const;
-  // Issuance log of a distributor.
-  const LogStore& IssuanceLog(int party_id) const;
+  // Snapshot of a distributor's issuance log, in admission order.
+  LogStore IssuanceLog(int party_id) const;
 
   // Offline audit of one distributor using the paper's grouped validation.
   Result<DistributorAudit> AuditDistributor(int party_id) const;
@@ -103,11 +103,16 @@ class DistributionNetwork {
  private:
   struct DistributorState {
     std::unique_ptr<LicenseCatalog> received;
-    std::unique_ptr<OnlineValidator> validator;  // Null until first grant.
+    // One shard (shard_hint = 1), so the log stays in admission order.
+    std::unique_ptr<IssuanceService> service;  // Null until first grant.
   };
 
   Status CheckLicenseShape(const License& license, LicenseType type) const;
   Status ReceiveRedistribution(int recipient, License license);
+  // Replaces `state`'s service with one over its current received set,
+  // pre-loaded with `history`.
+  static Status RebuildService(DistributorState* state,
+                               const LogStore& history);
   Result<DistributorState*> MutableDistributorState(int party_id);
 
   const ConstraintSchema* schema_;

@@ -12,6 +12,14 @@ namespace {
 constexpr char kCheckpointMagic[8] = {'G', 'L', 'A', 'U', 'T', 'H', '1',
                                       '\0'};
 
+// The paper's offline audit: grouped validation of one domain's log.
+Result<ValidationOutcome> AuditLog(const LicenseCatalog& licenses,
+                                   const LogStore& log) {
+  ValidateOptions options;
+  options.mode = ValidationMode::kGrouped;
+  return Validate(licenses, log, options);
+}
+
 void WriteString(std::ostream* out, const std::string& text) {
   const uint32_t size = static_cast<uint32_t>(text.size());
   out->write(reinterpret_cast<const char*>(&size), sizeof(size));
@@ -140,8 +148,8 @@ Result<ValidationAuthority::ContentAudit> ValidationAuthority::Audit(
   ContentAudit audit;
   audit.key = key;
   GEOLIC_ASSIGN_OR_RETURN(
-      audit.result, ValidateGroupedFromLog(*it->second.licenses,
-                                           it->second.service->CollectLog()));
+      audit.result,
+      AuditLog(*it->second.licenses, it->second.service->CollectLog()));
   return audit;
 }
 
@@ -168,7 +176,7 @@ Result<ValidationAuthority::PeriodClose> ValidationAuthority::ClosePeriod(
   close.archived_log = domain.service->CollectLog();
   GEOLIC_ASSIGN_OR_RETURN(
       close.audit.result,
-      ValidateGroupedFromLog(*domain.licenses, close.archived_log));
+      AuditLog(*domain.licenses, close.archived_log));
   if (close.audit.result.report.all_valid()) {
     GEOLIC_ASSIGN_OR_RETURN(
         close.settlement,

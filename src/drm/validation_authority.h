@@ -7,11 +7,10 @@
 #include <vector>
 
 #include "core/assignment.h"
-#include "core/grouped_validator.h"
-#include "core/online_validator.h"
 #include "licensing/license_catalog.h"
 #include "service/issuance_service.h"
 #include "validation/log_store.h"
+#include "validation/validate.h"
 #include "util/status.h"
 
 namespace geolic {
@@ -47,7 +46,7 @@ class ValidationAuthority {
   // Audit of one content/permission domain.
   struct ContentAudit {
     ContentKey key;
-    GroupedValidationResult result;
+    ValidationOutcome result;
   };
 
   // Outcome of closing one domain's validation period.
@@ -106,9 +105,10 @@ class ValidationAuthority {
 
   // Closes the domain's validation period: audits the accumulated log,
   // settles it to concrete licenses when clean (max-flow witness), archives
-  // the log, and resets the online validator so the licenses' full budgets
-  // are available for the next period. A dirty audit still closes the
-  // period (the report carries the violations; settlement is skipped).
+  // the log, and resets the domain's issuance service so the licenses'
+  // full budgets are available for the next period. A dirty audit still
+  // closes the period (the report carries the violations; settlement is
+  // skipped).
   Result<PeriodClose> ClosePeriod(const ContentKey& key);
 
   // Checkpoints every domain's issuance log into one binary file. Licenses

@@ -12,10 +12,11 @@ namespace geolic {
 
 // Checkpoint container format v2 — the CRC-protected envelope every geolic
 // snapshot (validation tree, log store, service snapshot) is written in.
-// The legacy formats ("GLTREE1", "GLOGBIN1") had zero corruption
-// detection: a single flipped bit in a count field loaded cleanly and
-// changed every downstream C⟨S⟩. v2 wraps the same payload bytes in a
-// checksummed frame so corruption fails loudly instead.
+// It replaced the v1 formats ("GLTREE1", "GLOGBIN1"), which had zero
+// corruption detection: a single flipped bit in a count field loaded
+// cleanly and changed every downstream C⟨S⟩. v2 wraps the same payload
+// bytes in a checksummed frame so corruption fails loudly instead. The v1
+// formats are retired; their loaders only name them in a ParseError.
 //
 // Layout (little-endian):
 //   header  : magic "GLCKPT2\0" (8) | version u32 | kind u32 |
@@ -43,7 +44,7 @@ enum class CheckpointKind : uint32_t {
 const char* CheckpointKindName(CheckpointKind kind);
 
 // True iff `magic` (8 bytes) is the v2 container magic — format sniffers
-// use this to route between v2 and the legacy loaders.
+// use this to tell a checkpoint from other files.
 bool IsCheckpointMagic(const char* magic);
 
 // Writes one framed checkpoint to `out`.

@@ -46,8 +46,8 @@ class LatencyHistogram {
   std::atomic<uint64_t> clamped_negative_{0};
 };
 
-// Atomic metrics block for the online issuance path, shared by
-// OnlineValidator (optional sink) and IssuanceService (always on). Every
+// Atomic metrics block for the online issuance path (IssuanceService owns
+// one, or records into the caller's via OnlineValidatorOptions). Every
 // method is thread-safe; counters use relaxed ordering — they are
 // statistics, not synchronization.
 class IssuanceMetrics {

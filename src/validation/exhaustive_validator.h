@@ -21,8 +21,7 @@ namespace geolic {
 
 // Reference implementation of a single equation's LHS, straight from merged
 // log counts: Σ counts over keys that are subsets of `set`. O(#distinct
-// sets) per call; used by tests to pin down the tree traversal and by the
-// online validator.
+// sets) per call; used by tests to pin down the tree traversal.
 int64_t LhsFromMergedCounts(
     const std::unordered_map<LicenseSet, int64_t>& merged_counts,
     const LicenseSet& set);

@@ -59,16 +59,10 @@ class LicensePermutation {
 Result<ValidationTree> BuildFrequencyOrderedTree(
     const LogStore& log, const LicensePermutation& permutation);
 
-// Algorithm 2 over a frequency-ordered tree; the report's violation sets
-// are translated back to original license indexes, so the result is
-// interchangeable with ValidateExhaustive(BuildFromLog(log), aggregates)
-// up to violation order (ascending in *relabeled* masks).
-//
-// Compatibility wrapper, slated for [[deprecated]]: new code should call
+// Validating under this labeling is
 // Validate(log, aggregates, {.order = TreeOrder::kDescendingFrequency})
-// (validation/validate.h); this delegates there.
-Result<ValidationReport> ValidateExhaustiveFrequencyOrdered(
-    const LogStore& log, const std::vector<int64_t>& aggregates);
+// (validation/validate.h), which translates violation sets back to
+// original license indexes.
 
 }  // namespace geolic
 

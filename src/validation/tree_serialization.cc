@@ -13,7 +13,9 @@
 namespace geolic {
 namespace {
 
-constexpr char kLegacyMagic[8] = {'G', 'L', 'T', 'R', 'E', 'E', '1', '\0'};
+// Magic of the retired unchecksummed v1 format, recognised only to name it
+// in the load error.
+constexpr char kRetiredMagic[8] = {'G', 'L', 'T', 'R', 'E', 'E', '1', '\0'};
 constexpr uint64_t kMaxNodes = uint64_t{1} << 32;  // Sanity bound on load.
 
 void WriteTriple(const ValidationTreeNode& node, std::ostream* out) {
@@ -162,38 +164,29 @@ Status SerializeTree(const ValidationTree& tree, std::ostream* out) {
   return Status::Ok();
 }
 
-Status SerializeTreeV1(const ValidationTree& tree, std::ostream* out) {
-  out->write(kLegacyMagic, sizeof(kLegacyMagic));
-  WriteTreeBody(tree, out);
-  if (!*out) {
-    return Status::IoError("tree serialization write failed");
-  }
-  return Status::Ok();
-}
-
 Result<ValidationTree> DeserializeTree(std::istream* in) {
-  char magic[sizeof(kLegacyMagic)];
+  char magic[sizeof(kRetiredMagic)];
   in->read(magic, sizeof(magic));
   if (!*in) {
     return Status::ParseError("not a geolic tree checkpoint");
   }
-  if (IsCheckpointMagic(magic)) {
-    GEOLIC_ASSIGN_OR_RETURN(
-        const std::string payload,
-        ReadCheckpointPayloadAfterMagic(CheckpointKind::kValidationTree, in));
-    std::istringstream body(payload);
-    ValidationTree tree;
-    GEOLIC_RETURN_IF_ERROR(ReadTreeBody(&body, &tree));
-    if (body.peek() != std::istringstream::traits_type::eof()) {
-      return Status::ParseError("trailing bytes after tree payload");
-    }
-    return FinishTree(std::move(tree));
+  if (std::memcmp(magic, kRetiredMagic, sizeof(magic)) == 0) {
+    return Status::ParseError(
+        "retired GLTREE1 (v1) tree format is no longer readable; "
+        "re-save the tree with SaveTree (v2)");
   }
-  if (std::memcmp(magic, kLegacyMagic, sizeof(magic)) != 0) {
+  if (!IsCheckpointMagic(magic)) {
     return Status::ParseError("not a geolic tree checkpoint");
   }
+  GEOLIC_ASSIGN_OR_RETURN(
+      const std::string payload,
+      ReadCheckpointPayloadAfterMagic(CheckpointKind::kValidationTree, in));
+  std::istringstream body(payload);
   ValidationTree tree;
-  GEOLIC_RETURN_IF_ERROR(ReadTreeBody(in, &tree));
+  GEOLIC_RETURN_IF_ERROR(ReadTreeBody(&body, &tree));
+  if (body.peek() != std::istringstream::traits_type::eof()) {
+    return Status::ParseError("trailing bytes after tree payload");
+  }
   return FinishTree(std::move(tree));
 }
 

@@ -20,10 +20,9 @@ namespace geolic {
 // anywhere in the file fails the load instead of silently changing a
 // count.
 //
-// Legacy format (v1): magic "GLTREE1\0" followed by the same body, no
-// checksums. Loaders accept both; writers emit v2 only. v1 files cannot
-// detect payload corruption — a flipped count byte loads cleanly — which
-// is why the format was replaced.
+// The unchecksummed v1 format (magic "GLTREE1\0") is retired: a flipped
+// count byte loaded cleanly. Loading a v1 file fails with a ParseError
+// that names it.
 //
 // Both serializer and deserializer walk with explicit stacks: a deep
 // chain-shaped tree (adversarial checkpoint, or any tree deeper than the
@@ -32,20 +31,15 @@ namespace geolic {
 // Writes `tree` to `path` in v2 framing, overwriting.
 Status SaveTree(const ValidationTree& tree, const std::string& path);
 
-// Reads a tree written by SaveTree (v2) or by the legacy v1 writer.
-// Validates structure (child ordering, strictly increasing path indexes)
-// before returning; v2 additionally verifies header and payload CRCs.
+// Reads a tree written by SaveTree. Verifies header and payload CRCs, then
+// validates structure (child ordering, strictly increasing path indexes)
+// before returning.
 Result<ValidationTree> LoadTree(const std::string& path);
 
 // Stream variants (used by the file variants; exposed for embedding the
 // tree in larger checkpoint files).
 Status SerializeTree(const ValidationTree& tree, std::ostream* out);
 Result<ValidationTree> DeserializeTree(std::istream* in);
-
-// Legacy v1 writer, kept so tests can exercise the compatibility load
-// path and demonstrate v1's missing corruption detection. New code must
-// not call this.
-Status SerializeTreeV1(const ValidationTree& tree, std::ostream* out);
 
 }  // namespace geolic
 

@@ -36,52 +36,12 @@ uint64_t FullWord(int n) {
   return n >= 64 ? ~uint64_t{0} : (uint64_t{1} << n) - 1;
 }
 
-// ---- Serial exhaustive engine (Algorithm 2) --------------------------------
+// ---- Exhaustive engine (Algorithm 2) ---------------------------------------
 
-Result<ValidationReport> ExhaustiveSerial(
-    const FlatValidationTree& tree, const std::vector<int64_t>& aggregates,
-    uint64_t max_equations) {
-  const int n = static_cast<int>(aggregates.size());
-  ValidationReport report;
-  if (n == 0) {
-    return report;
-  }
-  // The batch enumerates every non-empty subset of {0..n-1}; the bits of a
-  // mask select the licenses in that equation's set.
-  const uint64_t full = FullWord(n);
-  std::array<LicenseSet, kEquationBatch> sets;
-  std::array<int64_t, kEquationBatch> sums;
-  uint64_t next = 1;
-  bool exhausted = false;
-  while (!exhausted && report.equations_evaluated < max_equations) {
-    size_t batch = 0;
-    while (batch < kEquationBatch &&
-           report.equations_evaluated + batch < max_equations) {
-      sets[batch++] = LicenseSet::FromWord(next);
-      if (next == full) {
-        exhausted = true;
-        break;
-      }
-      ++next;
-    }
-    // CV for the whole batch: pruned arena scans over contiguous nodes.
-    tree.SumSubsetsBatch({sets.data(), batch}, {sums.data(), batch},
-                         &report.nodes_visited);
-    for (size_t k = 0; k < batch; ++k) {
-      const int64_t av = AggregateValue(aggregates, sets[k]);
-      ++report.equations_evaluated;
-      if (sums[k] > av) {
-        report.violations.push_back(EquationResult{sets[k], sums[k], av});
-      }
-    }
-  }
-  return report;
-}
-
-// ---- Parallel exhaustive engine (equation-range sharding) ------------------
-
-// Evaluates equations for sets in [begin, end] (inclusive masks) against
-// the read-only tree; appends violations to *out in ascending order.
+// Evaluates equations for sets in [begin, end] (inclusive masks; the bits
+// of a mask select the licenses in that equation's set) against the
+// read-only tree; appends violations to *out in ascending order. The serial
+// engine runs it over the whole range, the sharded one per shard.
 void EvaluateRange(const FlatValidationTree& tree,
                    const std::vector<int64_t>& aggregates, uint64_t begin,
                    uint64_t end, std::vector<EquationResult>* out,
@@ -100,6 +60,7 @@ void EvaluateRange(const FlatValidationTree& tree,
       }
       ++next;
     }
+    // CV for the whole batch: pruned arena scans over contiguous nodes.
     tree.SumSubsetsBatch({sets.data(), batch}, {sums.data(), batch},
                          nodes_visited);
     for (size_t k = 0; k < batch; ++k) {
@@ -110,6 +71,25 @@ void EvaluateRange(const FlatValidationTree& tree,
     }
   }
 }
+
+// Serial Algorithm 2 over masks 1..min(2^n − 1, max_equations): every
+// non-empty subset of {0..n-1}, or the prefix the limit allows.
+Result<ValidationReport> ExhaustiveSerial(
+    const FlatValidationTree& tree, const std::vector<int64_t>& aggregates,
+    uint64_t max_equations) {
+  const int n = static_cast<int>(aggregates.size());
+  ValidationReport report;
+  if (n == 0 || max_equations == 0) {
+    return report;
+  }
+  const uint64_t last = std::min(FullWord(n), max_equations);
+  EvaluateRange(tree, aggregates, 1, last, &report.violations,
+                &report.nodes_visited);
+  report.equations_evaluated = last;
+  return report;
+}
+
+// ---- Parallel exhaustive engine (equation-range sharding) ------------------
 
 Result<ValidationReport> ExhaustiveSharded(
     const FlatValidationTree& tree, const std::vector<int64_t>& aggregates,

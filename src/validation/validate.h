@@ -13,16 +13,12 @@
 
 namespace geolic {
 
-// Unified entry point for every offline aggregate-validation engine. Every
+// The one entry point for every offline aggregate-validation engine. Every
 // engine compiles the (static) pointer tree into a FlatValidationTree
 // (validation/flat_tree.h) once per run — per group in grouped modes — and
-// evaluates all equations against the flat, pruning-aware form. The
-
-// historical functions — ValidateExhaustive, ValidateExhaustiveLimited,
-// ValidateExhaustiveFrequencyOrdered, ValidateZeta, ValidateGrouped,
-// ValidateGroupedFromLog, ValidateExhaustiveParallel and
-// ValidateGroupedParallel — remain as thin wrappers that delegate here and
-// should be considered deprecated in new code; prefer Validate + options.
+// evaluates all equations against the flat, pruning-aware form. Engine,
+// tree order, parallelism and limits are all chosen through
+// ValidateOptions.
 //
 // The license-set overloads (grouped modes) are implemented in the core
 // library because they dispatch into grouping/tree-division; linking the
@@ -67,14 +63,17 @@ struct ValidateOptions {
   uint64_t max_equations = UINT64_MAX;
   // Dense-table cap for the zeta engine (2^n × 16 bytes of memory).
   int max_dense_n = 26;
-  // Optional span sink (obs/trace.h): tree build/compile records a
-  // kTreeDivision span (the paper's D_T), the equation engine a
-  // kOfflineValidation span (V_T). Must outlive the call. Null = off.
+  // Optional span sink (obs/trace.h): tree build and compile each record a
+  // kTreeDivision span (the paper's D_T), the equation engine one
+  // kOfflineValidation span (V_T). Grouped modes record one span of each:
+  // grouping + division + reindexing, then all per-group evaluation. Must
+  // outlive the call. Null = off.
   Tracer* tracer = nullptr;
 };
 
-// Superset of ValidationReport and GroupedValidationResult: ungrouped runs
-// leave the group fields at their defaults (group_count == 0).
+// Report plus the grouped pipeline's cost breakdown (the paper's evaluation
+// section): ungrouped runs leave the group fields at their defaults
+// (group_count == 0). Violation sets are in original license indexes.
 struct ValidationOutcome {
   ValidationReport report;
   int group_count = 0;  // 0 ⇔ an ungrouped engine ran.

@@ -2,8 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/grouped_validator.h"
-#include "core/online_validator.h"
+#include "service/issuance_service.h"
 #include "test_util.h"
 #include "workload/workload.h"
 
@@ -95,8 +94,8 @@ TEST(SettlementPropertyTest, SettleableIffValid) {
     config.aggregate_max = 700;
     Result<Workload> workload = WorkloadGenerator(config).Generate();
     ASSERT_TRUE(workload.ok());
-    const Result<GroupedValidationResult> audit =
-        ValidateGroupedFromLog(*workload->licenses, workload->log);
+    const Result<ValidationOutcome> audit =
+        testing::GroupedAudit(*workload->licenses, workload->log);
     ASSERT_TRUE(audit.ok());
     const Result<SettlementAssignment> settlement =
         ComputeSettlement(*workload->licenses, workload->log);
@@ -136,17 +135,18 @@ TEST(SettlementPropertyTest, OnlineAcceptedStreamsAlwaysSettle) {
   WorkloadGenerator generator(config);
   Result<Workload> workload = generator.GenerateLicensesOnly();
   ASSERT_TRUE(workload.ok());
-  Result<OnlineValidator> online =
-      OnlineValidator::Create(workload->licenses.get());
+  Result<std::unique_ptr<IssuanceService>> online =
+      IssuanceService::Create(workload->licenses.get());
   ASSERT_TRUE(online.ok());
   Rng rng(7);
   for (int i = 0; i < 1000; ++i) {
     const int parent = static_cast<int>(
         rng.UniformInt(0, workload->licenses->size() - 1));
-    (void)*online->TryIssue(
+    (void)*(*online)->TryIssue(
         generator.DrawUsageLicense(*workload, parent, &rng, i));
   }
-  EXPECT_TRUE(ComputeSettlement(*workload->licenses, online->log()).ok());
+  EXPECT_TRUE(
+      ComputeSettlement(*workload->licenses, (*online)->CollectLog()).ok());
 }
 
 }  // namespace

@@ -1,20 +1,19 @@
 #include "validation/validate.h"
-#include "core/grouped_validator.h"
 
 #include <algorithm>
+#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "core/gain.h"
+#include "core/grouping.h"
 #include "test_util.h"
 #include "workload/workload.h"
 
 namespace geolic {
 namespace {
 
-// Adapters over the Validate facade (the pre-facade bare entry points
-// ValidateExhaustive/ValidateExhaustiveLimited/ValidateZeta were folded
-// into Validate; see validation/validate.h).
+// Adapters over the Validate facade (validation/validate.h).
 Result<ValidationReport> RunExhaustive(
     const ValidationTree& tree, const std::vector<int64_t>& aggregates) {
   ValidateOptions options;
@@ -22,6 +21,16 @@ Result<ValidationReport> RunExhaustive(
   Result<ValidationOutcome> outcome = Validate(tree, aggregates, options);
   if (!outcome.ok()) return outcome.status();
   return std::move(outcome->report);
+}
+
+// The paper's grouped pipeline (grouping, tree division, Algorithm 2 per
+// group) through the facade; `mode` picks the per-group engine.
+Result<ValidationOutcome> RunGrouped(
+    const LicenseCatalog& licenses, ValidationTree tree,
+    ValidationMode mode = ValidationMode::kGrouped) {
+  ValidateOptions options;
+  options.mode = mode;
+  return Validate(licenses, std::move(tree), options);
 }
 
 using testing::IntervalSchema;
@@ -45,8 +54,8 @@ TEST(GroupedValidatorTest, CleanLogValidates) {
   ValidationTree tree;
   ASSERT_TRUE(tree.Insert(testing::Mask(0b011), 50).ok());
   ASSERT_TRUE(tree.Insert(testing::Mask(0b100), 70).ok());
-  const Result<GroupedValidationResult> result =
-      ValidateGrouped(set, std::move(tree));
+  const Result<ValidationOutcome> result =
+      RunGrouped(set, std::move(tree));
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->report.all_valid());
   EXPECT_EQ(result->group_count, 2);
@@ -60,8 +69,8 @@ TEST(GroupedValidatorTest, ViolationReportedInOriginalIndexes) {
   const LicenseCatalog set = TwoClusterSet(schema);
   ValidationTree tree;
   ASSERT_TRUE(tree.Insert(testing::Mask(0b100), 150).ok());  // L3 over its 100 budget.
-  const Result<GroupedValidationResult> result =
-      ValidateGrouped(set, std::move(tree));
+  const Result<ValidationOutcome> result =
+      RunGrouped(set, std::move(tree));
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->report.violations.size(), 1u);
   // L3 is local index 0 of group 1; the report must say original L3.
@@ -76,8 +85,9 @@ TEST(GroupedValidatorTest, FromLogConvenience) {
   LogStore log;
   ASSERT_TRUE(log.Append(LogRecord{"LU1", testing::Mask(0b011), 60}).ok());
   ASSERT_TRUE(log.Append(LogRecord{"LU2", testing::Mask(0b001), 50}).ok());
-  const Result<GroupedValidationResult> result =
-      ValidateGroupedFromLog(set, log);
+  ValidateOptions options;
+  options.mode = ValidationMode::kGrouped;
+  const Result<ValidationOutcome> result = Validate(set, log, options);
   ASSERT_TRUE(result.ok());
   // C⟨{L1}⟩ = 50 ≤ 100, C⟨{L1,L2}⟩ = 110 ≤ 200, C⟨{L2}⟩ = 0.
   EXPECT_TRUE(result->report.all_valid());
@@ -86,8 +96,8 @@ TEST(GroupedValidatorTest, FromLogConvenience) {
 TEST(GroupedValidatorTest, TimingFieldsPopulated) {
   const ConstraintSchema schema = IntervalSchema(1);
   const LicenseCatalog set = TwoClusterSet(schema);
-  const Result<GroupedValidationResult> result =
-      ValidateGrouped(set, ValidationTree());
+  const Result<ValidationOutcome> result =
+      RunGrouped(set, ValidationTree());
   ASSERT_TRUE(result.ok());
   EXPECT_GE(result->division_micros, 0.0);
   EXPECT_GE(result->validation_micros, 0.0);
@@ -107,10 +117,11 @@ TEST(GroupedValidatorTest, ZetaEngineMatchesTraversalEngine) {
         ValidationTree::BuildFromLog(workload->log);
     ASSERT_TRUE(tree1.ok());
     ASSERT_TRUE(tree2.ok());
-    const Result<GroupedValidationResult> traversal =
-        ValidateGrouped(*workload->licenses, *std::move(tree1));
-    const Result<GroupedValidationResult> zeta =
-        ValidateGroupedZeta(*workload->licenses, *std::move(tree2));
+    const Result<ValidationOutcome> traversal =
+        RunGrouped(*workload->licenses, *std::move(tree1));
+    const Result<ValidationOutcome> zeta =
+        RunGrouped(*workload->licenses, *std::move(tree2),
+                   ValidationMode::kGroupedZeta);
     ASSERT_TRUE(traversal.ok());
     ASSERT_TRUE(zeta.ok());
     EXPECT_EQ(zeta->group_sizes, traversal->group_sizes);
@@ -157,8 +168,8 @@ TEST_P(EquivalencePropertyTest, GroupedMatchesBaseline) {
     Result<ValidationTree> grouped_tree =
         ValidationTree::BuildFromLog(workload->log);
     ASSERT_TRUE(grouped_tree.ok());
-    const Result<GroupedValidationResult> grouped =
-        ValidateGrouped(*workload->licenses, *std::move(grouped_tree));
+    const Result<ValidationOutcome> grouped =
+        RunGrouped(*workload->licenses, *std::move(grouped_tree));
     ASSERT_TRUE(grouped.ok());
 
     // Theorem 2: identical violation sets (the baseline also reports

@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/grouped_validator.h"
 #include "test_util.h"
 #include "workload/workload.h"
 
@@ -124,8 +123,8 @@ TEST_P(IncrementalEquivalenceTest, CumulativeMatchesFullAudit) {
   }
   EXPECT_EQ(auditor->records_ingested(), records.size());
 
-  const Result<GroupedValidationResult> full =
-      ValidateGroupedFromLog(*workload->licenses, workload->log);
+  const Result<ValidationOutcome> full =
+      testing::GroupedAudit(*workload->licenses, workload->log);
   ASSERT_TRUE(full.ok());
   ASSERT_EQ(last_reported.size(), full->report.violations.size());
   for (const EquationResult& violation : full->report.violations) {

@@ -1,5 +1,5 @@
-// Property test for paper Theorem 2 at the decision level: grouped and
-// ungrouped online validation, plus a flat-tree equation oracle, must agree
+// Property test for paper Theorem 2 at the decision level: IssuanceService
+// with and without grouping, plus a flat-tree equation oracle, must agree
 // on every TryIssue — not just accept/reject, but the exact limiting
 // equation on rejection. 500 seeded workloads; any failure logs its seed
 // and is reproducible with GEOLIC_TEST_SEED.
@@ -10,9 +10,9 @@
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "core/online_validator.h"
 #include "licensing/license.h"
 #include "licensing/license_catalog.h"
+#include "service/issuance_service.h"
 #include "test_util.h"
 #include "util/license_set.h"
 #include "util/random.h"
@@ -178,21 +178,21 @@ TEST(OnlineEquivalenceProperty, GroupedUngroupedAndFlatTreeAgree) {
 
     OnlineValidatorOptions grouped_options;
     grouped_options.use_grouping = true;
-    Result<OnlineValidator> grouped =
-        OnlineValidator::Create(w.licenses.get(), grouped_options);
+    Result<std::unique_ptr<IssuanceService>> grouped =
+        IssuanceService::Create(w.licenses.get(), grouped_options);
     ASSERT_TRUE(grouped.ok());
 
     OnlineValidatorOptions ungrouped_options;
     ungrouped_options.use_grouping = false;
-    Result<OnlineValidator> ungrouped =
-        OnlineValidator::Create(w.licenses.get(), ungrouped_options);
+    Result<std::unique_ptr<IssuanceService>> ungrouped =
+        IssuanceService::Create(w.licenses.get(), ungrouped_options);
     ASSERT_TRUE(ungrouped.ok());
 
     FlatTreeOracle oracle(w.licenses.get());
 
     for (size_t r = 0; r < w.requests.size(); ++r) {
-      const Result<OnlineDecision> g = grouped->TryIssue(w.requests[r]);
-      const Result<OnlineDecision> u = ungrouped->TryIssue(w.requests[r]);
+      const Result<OnlineDecision> g = (*grouped)->TryIssue(w.requests[r]);
+      const Result<OnlineDecision> u = (*ungrouped)->TryIssue(w.requests[r]);
       ASSERT_TRUE(g.ok());
       ASSERT_TRUE(u.ok());
       const OnlineDecision o = oracle.TryIssue(w.requests[r]);

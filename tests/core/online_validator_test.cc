@@ -1,21 +1,27 @@
-#include "core/online_validator.h"
+// The paper's online rule (eq. 1 restricted by Theorem 2) as answered by
+// the one admission engine: an IssuanceService decides one issuance at a
+// time, checking every equation T with S ⊆ T ⊆ S's overlap group.
+#include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "service/issuance_service.h"
 #include "test_util.h"
+#include "util/random.h"
 
 namespace geolic {
 namespace {
+
+using testing::IntervalSchema;
+using testing::MakeRedistribution;
+using testing::MakeUsage;
 
 OnlineValidatorOptions Grouped(bool use_grouping) {
   OnlineValidatorOptions options;
   options.use_grouping = use_grouping;
   return options;
 }
-
-using testing::IntervalSchema;
-using testing::MakeRedistribution;
-using testing::MakeUsage;
 
 // L1 [0,20] A=100, L2 [10,30] A=50, L3 [100,120] A=30 — two groups.
 LicenseCatalog SmallSet(const ConstraintSchema& schema) {
@@ -29,51 +35,49 @@ LicenseCatalog SmallSet(const ConstraintSchema& schema) {
   return set;
 }
 
-TEST(OnlineValidatorTest, CreateRequiresLicenses) {
-  const ConstraintSchema schema = IntervalSchema(1);
-  LicenseCatalog empty(&schema);
-  EXPECT_FALSE(OnlineValidator::Create(&empty).ok());
-  EXPECT_FALSE(OnlineValidator::Create(nullptr).ok());
-}
-
-TEST(OnlineValidatorTest, AcceptsValidIssue) {
+TEST(OnlineValidationTest, AcceptsValidIssue) {
   const ConstraintSchema schema = IntervalSchema(1);
   const LicenseCatalog set = SmallSet(schema);
-  Result<OnlineValidator> validator = OnlineValidator::Create(&set);
-  ASSERT_TRUE(validator.ok());
+  Result<std::unique_ptr<IssuanceService>> service =
+      IssuanceService::Create(&set);
+  ASSERT_TRUE(service.ok());
   const Result<OnlineDecision> decision =
-      validator->TryIssue(MakeUsage(schema, "LU1", {{2, 5}}, 40));
+      (*service)->TryIssue(MakeUsage(schema, "LU1", {{2, 5}}, 40));
   ASSERT_TRUE(decision.ok());
   EXPECT_TRUE(decision->accepted());
   EXPECT_TRUE(decision->instance_valid);
   EXPECT_TRUE(decision->aggregate_valid);
   EXPECT_EQ(decision->satisfying_set, testing::Mask(0b001));
-  EXPECT_EQ(validator->log().size(), 1u);
-  EXPECT_EQ(validator->tree().CountOf(testing::Mask(0b001)), 40);
+  EXPECT_EQ((*service)->CollectLog().size(), 1u);
+  const Result<ValidationTree> tree = (*service)->CollectTree();
+  ASSERT_TRUE(tree.ok());
+  EXPECT_EQ(tree->CountOf(testing::Mask(0b001)), 40);
 }
 
-TEST(OnlineValidatorTest, RejectsInstanceInvalid) {
+TEST(OnlineValidationTest, RejectsInstanceInvalid) {
   const ConstraintSchema schema = IntervalSchema(1);
   const LicenseCatalog set = SmallSet(schema);
-  Result<OnlineValidator> validator = OnlineValidator::Create(&set);
-  ASSERT_TRUE(validator.ok());
+  Result<std::unique_ptr<IssuanceService>> service =
+      IssuanceService::Create(&set);
+  ASSERT_TRUE(service.ok());
   // [25, 50] is not inside any license.
   const Result<OnlineDecision> decision =
-      validator->TryIssue(MakeUsage(schema, "LU1", {{25, 50}}, 5));
+      (*service)->TryIssue(MakeUsage(schema, "LU1", {{25, 50}}, 5));
   ASSERT_TRUE(decision.ok());
   EXPECT_FALSE(decision->accepted());
   EXPECT_FALSE(decision->instance_valid);
-  EXPECT_EQ(validator->log().size(), 0u);  // Nothing recorded.
+  EXPECT_EQ((*service)->CollectLog().size(), 0u);  // Nothing recorded.
 }
 
-TEST(OnlineValidatorTest, RejectsAggregateOverflowAndReportsEquation) {
+TEST(OnlineValidationTest, RejectsAggregateOverflowAndReportsEquation) {
   const ConstraintSchema schema = IntervalSchema(1);
   const LicenseCatalog set = SmallSet(schema);
-  Result<OnlineValidator> validator = OnlineValidator::Create(&set);
-  ASSERT_TRUE(validator.ok());
+  Result<std::unique_ptr<IssuanceService>> service =
+      IssuanceService::Create(&set);
+  ASSERT_TRUE(service.ok());
   // L3's budget is 30: a 31-count usage inside L3 must be rejected.
   const Result<OnlineDecision> decision =
-      validator->TryIssue(MakeUsage(schema, "LU1", {{105, 110}}, 31));
+      (*service)->TryIssue(MakeUsage(schema, "LU1", {{105, 110}}, 31));
   ASSERT_TRUE(decision.ok());
   EXPECT_TRUE(decision->instance_valid);
   EXPECT_FALSE(decision->aggregate_valid);
@@ -81,28 +85,29 @@ TEST(OnlineValidatorTest, RejectsAggregateOverflowAndReportsEquation) {
   EXPECT_EQ(decision->limiting.set, testing::Mask(0b100));
   EXPECT_EQ(decision->limiting.lhs, 31);
   EXPECT_EQ(decision->limiting.rhs, 30);
-  EXPECT_EQ(validator->log().size(), 0u);
+  EXPECT_EQ((*service)->CollectLog().size(), 0u);
 }
 
-TEST(OnlineValidatorTest, ExhaustsBudgetExactlyThenRejects) {
+TEST(OnlineValidationTest, ExhaustsBudgetExactlyThenRejects) {
   const ConstraintSchema schema = IntervalSchema(1);
   const LicenseCatalog set = SmallSet(schema);
-  Result<OnlineValidator> validator = OnlineValidator::Create(&set);
-  ASSERT_TRUE(validator.ok());
+  Result<std::unique_ptr<IssuanceService>> service =
+      IssuanceService::Create(&set);
+  ASSERT_TRUE(service.ok());
   // Three 10-count issues exhaust L3's 30.
   for (int i = 0; i < 3; ++i) {
     const Result<OnlineDecision> decision =
-        validator->TryIssue(MakeUsage(schema, "LU", {{101, 102}}, 10));
+        (*service)->TryIssue(MakeUsage(schema, "LU", {{101, 102}}, 10));
     ASSERT_TRUE(decision.ok());
     EXPECT_TRUE(decision->accepted()) << "issue " << i;
   }
   const Result<OnlineDecision> rejected =
-      validator->TryIssue(MakeUsage(schema, "LU", {{101, 102}}, 1));
+      (*service)->TryIssue(MakeUsage(schema, "LU", {{101, 102}}, 1));
   ASSERT_TRUE(rejected.ok());
   EXPECT_FALSE(rejected->accepted());
 }
 
-TEST(OnlineValidatorTest, Example1ScenarioBothLicensesValid) {
+TEST(OnlineValidationTest, Example1ScenarioBothLicensesValid) {
   // The motivating scenario of the paper's Example 1: LU1 (count 800) fits
   // {L1, L2}; LU2 (count 400) fits only {L2}. With equation-based
   // validation both are accepted because C⟨{L2}⟩ = 400 ≤ 1000 and
@@ -113,34 +118,38 @@ TEST(OnlineValidatorTest, Example1ScenarioBothLicensesValid) {
       set.Add(MakeRedistribution(schema, "LD1", {{0, 20}}, 2000)).ok());
   ASSERT_TRUE(
       set.Add(MakeRedistribution(schema, "LD2", {{10, 30}}, 1000)).ok());
-  Result<OnlineValidator> validator = OnlineValidator::Create(&set);
-  ASSERT_TRUE(validator.ok());
+  Result<std::unique_ptr<IssuanceService>> service =
+      IssuanceService::Create(&set);
+  ASSERT_TRUE(service.ok());
 
   const Result<OnlineDecision> first =
-      validator->TryIssue(MakeUsage(schema, "LU1", {{12, 18}}, 800));
+      (*service)->TryIssue(MakeUsage(schema, "LU1", {{12, 18}}, 800));
   ASSERT_TRUE(first.ok());
   EXPECT_EQ(first->satisfying_set, testing::Mask(0b11));
   EXPECT_TRUE(first->accepted());
 
   const Result<OnlineDecision> second =
-      validator->TryIssue(MakeUsage(schema, "LU2", {{22, 28}}, 400));
+      (*service)->TryIssue(MakeUsage(schema, "LU2", {{22, 28}}, 400));
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(second->satisfying_set, testing::Mask(0b10));
   EXPECT_TRUE(second->accepted());
 }
 
-TEST(OnlineValidatorTest, GroupingShrinksEquationCount) {
+TEST(OnlineValidationTest, GroupingShrinksEquationCount) {
   const ConstraintSchema schema = IntervalSchema(1);
   const LicenseCatalog set = SmallSet(schema);
 
-  Result<OnlineValidator> grouped = OnlineValidator::Create(&set, Grouped(true));
-  Result<OnlineValidator> baseline = OnlineValidator::Create(&set, Grouped(false));
+  Result<std::unique_ptr<IssuanceService>> grouped =
+      IssuanceService::Create(&set, Grouped(true));
+  Result<std::unique_ptr<IssuanceService>> baseline =
+      IssuanceService::Create(&set, Grouped(false));
   ASSERT_TRUE(grouped.ok());
   ASSERT_TRUE(baseline.ok());
 
   const License usage = MakeUsage(schema, "LU", {{2, 5}}, 1);
-  const Result<OnlineDecision> grouped_decision = grouped->TryIssue(usage);
-  const Result<OnlineDecision> baseline_decision = baseline->TryIssue(usage);
+  const Result<OnlineDecision> grouped_decision = (*grouped)->TryIssue(usage);
+  const Result<OnlineDecision> baseline_decision =
+      (*baseline)->TryIssue(usage);
   ASSERT_TRUE(grouped_decision.ok());
   ASSERT_TRUE(baseline_decision.ok());
   EXPECT_EQ(grouped_decision->accepted(), baseline_decision->accepted());
@@ -150,7 +159,7 @@ TEST(OnlineValidatorTest, GroupingShrinksEquationCount) {
   EXPECT_EQ(grouped_decision->equations_checked, 2u);
 }
 
-TEST(OnlineValidatorTest, GroupedAndBaselineAlwaysAgree) {
+TEST(OnlineValidationTest, GroupedAndBaselineAlwaysAgree) {
   const ConstraintSchema schema = IntervalSchema(1);
   LicenseCatalog set(&schema);
   ASSERT_TRUE(set.Add(MakeRedistribution(schema, "LD1", {{0, 20}}, 60)).ok());
@@ -161,8 +170,10 @@ TEST(OnlineValidatorTest, GroupedAndBaselineAlwaysAgree) {
   ASSERT_TRUE(
       set.Add(MakeRedistribution(schema, "LD4", {{110, 140}}, 35)).ok());
 
-  Result<OnlineValidator> grouped = OnlineValidator::Create(&set, Grouped(true));
-  Result<OnlineValidator> baseline = OnlineValidator::Create(&set, Grouped(false));
+  Result<std::unique_ptr<IssuanceService>> grouped =
+      IssuanceService::Create(&set, Grouped(true));
+  Result<std::unique_ptr<IssuanceService>> baseline =
+      IssuanceService::Create(&set, Grouped(false));
   ASSERT_TRUE(grouped.ok());
   ASSERT_TRUE(baseline.ok());
 
@@ -177,8 +188,8 @@ TEST(OnlineValidatorTest, GroupedAndBaselineAlwaysAgree) {
     const int64_t hi = base + rng.UniformInt(0, 5);
     const License usage =
         MakeUsage(schema, "LU", {{lo, hi}}, rng.UniformInt(1, 8));
-    const Result<OnlineDecision> a = grouped->TryIssue(usage);
-    const Result<OnlineDecision> b = baseline->TryIssue(usage);
+    const Result<OnlineDecision> a = (*grouped)->TryIssue(usage);
+    const Result<OnlineDecision> b = (*baseline)->TryIssue(usage);
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
     ASSERT_EQ(a->accepted(), b->accepted()) << "issue " << i;
@@ -192,50 +203,49 @@ TEST(OnlineValidatorTest, GroupedAndBaselineAlwaysAgree) {
   // The workload is sized to exercise both outcomes.
   EXPECT_GT(accepted, 0);
   EXPECT_GT(rejected, 0);
-  EXPECT_EQ(grouped->log().size(), baseline->log().size());
+  EXPECT_EQ((*grouped)->CollectLog().size(), (*baseline)->CollectLog().size());
 }
 
-TEST(OnlineValidatorTest, CreateWithHistoryPreloadsTree) {
+TEST(OnlineValidationTest, CreateWithHistoryPreloadsTree) {
   const ConstraintSchema schema = IntervalSchema(1);
   const LicenseCatalog set = SmallSet(schema);
   LogStore history;
   ASSERT_TRUE(history.Append(LogRecord{"LU1", testing::Mask(0b001), 90}).ok());
-  Result<OnlineValidator> validator =
-      OnlineValidator::CreateWithHistory(&set, Grouped(true), history);
-  ASSERT_TRUE(validator.ok());
-  EXPECT_EQ(validator->tree().CountOf(testing::Mask(0b001)), 90);
-  EXPECT_EQ(validator->log().size(), 1u);
+  Result<std::unique_ptr<IssuanceService>> service =
+      IssuanceService::CreateWithHistory(&set, Grouped(true), history);
+  ASSERT_TRUE(service.ok());
+  const Result<ValidationTree> tree = (*service)->CollectTree();
+  ASSERT_TRUE(tree.ok());
+  EXPECT_EQ(tree->CountOf(testing::Mask(0b001)), 90);
+  EXPECT_EQ((*service)->CollectLog().size(), 1u);
   // Only 10 counts left on L1.
   const Result<OnlineDecision> decision =
-      validator->TryIssue(MakeUsage(schema, "LU2", {{0, 5}}, 11));
+      (*service)->TryIssue(MakeUsage(schema, "LU2", {{0, 5}}, 11));
   ASSERT_TRUE(decision.ok());
   EXPECT_FALSE(decision->accepted());
 }
 
-TEST(OnlineValidatorTest, CreateWithHistoryRejectsUnknownIndexes) {
+TEST(OnlineValidationTest, CreateWithHistoryRejectsUnknownIndexes) {
   const ConstraintSchema schema = IntervalSchema(1);
   const LicenseCatalog set = SmallSet(schema);
   LogStore history;
-  ASSERT_TRUE(history.Append(LogRecord{"LU1", LicenseSet::Singleton(9), 5}).ok());
-  EXPECT_FALSE(OnlineValidator::CreateWithHistory(&set, Grouped(true), history).ok());
+  ASSERT_TRUE(
+      history.Append(LogRecord{"LU1", LicenseSet::Singleton(9), 5}).ok());
+  EXPECT_FALSE(
+      IssuanceService::CreateWithHistory(&set, Grouped(true), history).ok());
 }
 
-TEST(OnlineValidatorTest, RejectsNonPositiveCount) {
+TEST(OnlineValidationTest, RejectsNonPositiveCount) {
   const ConstraintSchema schema = IntervalSchema(1);
   const LicenseCatalog set = SmallSet(schema);
-  Result<OnlineValidator> validator = OnlineValidator::Create(&set);
-  ASSERT_TRUE(validator.ok());
-  LicenseBuilder builder(&schema);
-  builder.SetId("LU")
-      .SetContentKey("K")
-      .SetType(LicenseType::kUsage)
-      .SetPermission(Permission::kPlay)
-      .SetAggregateCount(0)
-      .SetInterval("C1", 0, 1);
-  // Builder itself refuses a zero count, so hand-construct the license.
+  Result<std::unique_ptr<IssuanceService>> service =
+      IssuanceService::Create(&set);
+  ASSERT_TRUE(service.ok());
+  // LicenseBuilder refuses a zero count, so hand-construct the license.
   const License usage("LU", "K", LicenseType::kUsage, Permission::kPlay,
                       testing::Rect({{0, 1}}), 0);
-  EXPECT_FALSE(validator->TryIssue(usage).ok());
+  EXPECT_FALSE((*service)->TryIssue(usage).ok());
+  EXPECT_FALSE((*service)->TryIssueBatch(std::vector<License>{usage}).ok());
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include "validation/validate.h"
-#include "core/parallel_validator.h"
+
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -8,9 +9,7 @@
 namespace geolic {
 namespace {
 
-// Adapters over the Validate facade (the pre-facade bare entry points
-// ValidateExhaustive/ValidateExhaustiveLimited/ValidateZeta were folded
-// into Validate; see validation/validate.h).
+// Adapters over the Validate facade (validation/validate.h).
 Result<ValidationReport> RunExhaustive(
     const ValidationTree& tree, const std::vector<int64_t>& aggregates) {
   ValidateOptions options;
@@ -20,10 +19,31 @@ Result<ValidationReport> RunExhaustive(
   return std::move(outcome->report);
 }
 
+// Equation-range sharding over `num_threads` workers.
+Result<ValidationReport> RunExhaustiveParallel(
+    const ValidationTree& tree, const std::vector<int64_t>& aggregates,
+    int num_threads) {
+  ValidateOptions options;
+  options.mode = ValidationMode::kExhaustive;
+  options.num_threads = num_threads;
+  Result<ValidationOutcome> outcome = Validate(tree, aggregates, options);
+  if (!outcome.ok()) return outcome.status();
+  return std::move(outcome->report);
+}
+
+// Grouped validation with one task per group over `num_threads` workers.
+Result<ValidationOutcome> RunGrouped(const LicenseCatalog& licenses,
+                                     ValidationTree tree, int num_threads) {
+  ValidateOptions options;
+  options.mode = ValidationMode::kGrouped;
+  options.num_threads = num_threads;
+  return Validate(licenses, std::move(tree), options);
+}
+
 TEST(ParallelValidatorTest, EmptyInputs) {
   ValidationTree tree;
   const Result<ValidationReport> report =
-      ValidateExhaustiveParallel(tree, {}, 4);
+      RunExhaustiveParallel(tree, {}, 4);
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->all_valid());
 }
@@ -31,9 +51,9 @@ TEST(ParallelValidatorTest, EmptyInputs) {
 TEST(ParallelValidatorTest, RejectsBadInputs) {
   ValidationTree tree;
   ASSERT_TRUE(tree.Insert(LicenseSet::Singleton(3), 1).ok());
-  EXPECT_FALSE(ValidateExhaustiveParallel(tree, {10, 10}, 4).ok());
+  EXPECT_FALSE(RunExhaustiveParallel(tree, {10, 10}, 4).ok());
   EXPECT_FALSE(
-      ValidateExhaustiveParallel(tree, std::vector<int64_t>(65, 1), 4).ok());
+      RunExhaustiveParallel(tree, std::vector<int64_t>(65, 1), 4).ok());
 }
 
 // Property: the parallel exhaustive validator produces a byte-identical
@@ -58,7 +78,7 @@ TEST_P(ParallelEquivalenceTest, MatchesSequential) {
     const Result<ValidationReport> sequential =
         RunExhaustive(*tree, aggregates);
     const Result<ValidationReport> parallel =
-        ValidateExhaustiveParallel(*tree, aggregates, threads);
+        RunExhaustiveParallel(*tree, aggregates, threads);
     ASSERT_TRUE(sequential.ok());
     ASSERT_TRUE(parallel.ok());
     EXPECT_EQ(parallel->equations_evaluated,
@@ -92,10 +112,10 @@ TEST(ParallelGroupedTest, MatchesSequentialGrouped) {
     ASSERT_TRUE(tree1.ok());
     ASSERT_TRUE(tree2.ok());
 
-    const Result<GroupedValidationResult> sequential =
-        ValidateGrouped(*workload->licenses, *std::move(tree1));
-    const Result<GroupedValidationResult> parallel = ValidateGroupedParallel(
-        *workload->licenses, *std::move(tree2), 4);
+    const Result<ValidationOutcome> sequential =
+        RunGrouped(*workload->licenses, *std::move(tree1), 1);
+    const Result<ValidationOutcome> parallel =
+        RunGrouped(*workload->licenses, *std::move(tree2), 4);
     ASSERT_TRUE(sequential.ok());
     ASSERT_TRUE(parallel.ok());
     EXPECT_EQ(parallel->group_count, sequential->group_count);

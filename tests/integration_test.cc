@@ -5,12 +5,10 @@
 
 #include <gtest/gtest.h>
 
-#include "core/grouped_validator.h"
 #include "core/incremental_auditor.h"
-#include "core/online_validator.h"
-#include "core/parallel_validator.h"
 #include "drm/validation_authority.h"
 #include "licensing/license_parser.h"
+#include "service/issuance_service.h"
 #include "test_util.h"
 #include "validation/tree_serialization.h"
 #include "validation/validate.h"
@@ -19,9 +17,7 @@
 namespace geolic {
 namespace {
 
-// Adapters over the Validate facade (the pre-facade bare entry points
-// ValidateExhaustive/ValidateExhaustiveLimited/ValidateZeta were folded
-// into Validate; see validation/validate.h).
+// Adapters over the Validate facade (validation/validate.h).
 Result<ValidationReport> RunExhaustive(
     const ValidationTree& tree, const std::vector<int64_t>& aggregates) {
   ValidateOptions options;
@@ -49,7 +45,7 @@ std::string TempPath(const std::string& suffix) {
 }
 
 // Invariant: a log produced exclusively by online validation must pass
-// every offline validator with zero violations — the online validator only
+// every offline validator with zero violations — online admission only
 // admits issues that keep all equations satisfied.
 TEST(IntegrationTest, OnlineAcceptedLogAlwaysAuditsClean) {
   for (uint64_t seed : {1u, 2u, 3u, 4u}) {
@@ -61,8 +57,8 @@ TEST(IntegrationTest, OnlineAcceptedLogAlwaysAuditsClean) {
     Result<Workload> workload = generator.GenerateLicensesOnly();
     ASSERT_TRUE(workload.ok());
 
-    Result<OnlineValidator> online =
-        OnlineValidator::Create(workload->licenses.get());
+    Result<std::unique_ptr<IssuanceService>> online =
+        IssuanceService::Create(workload->licenses.get());
     ASSERT_TRUE(online.ok());
     Rng rng(seed * 31337);
     int accepted = 0;
@@ -71,7 +67,7 @@ TEST(IntegrationTest, OnlineAcceptedLogAlwaysAuditsClean) {
           rng.UniformInt(0, workload->licenses->size() - 1));
       const License usage =
           generator.DrawUsageLicense(*workload, parent, &rng, i);
-      const Result<OnlineDecision> decision = online->TryIssue(usage);
+      const Result<OnlineDecision> decision = (*online)->TryIssue(usage);
       ASSERT_TRUE(decision.ok());
       if (decision->accepted()) {
         ++accepted;
@@ -80,17 +76,19 @@ TEST(IntegrationTest, OnlineAcceptedLogAlwaysAuditsClean) {
     ASSERT_GT(accepted, 0);
 
     // Offline: exhaustive, zeta, grouped, parallel — all clean.
-    const Result<ValidationTree> tree =
-        ValidationTree::BuildFromLog(online->log());
+    const LogStore log = (*online)->CollectLog();
+    const Result<ValidationTree> tree = ValidationTree::BuildFromLog(log);
     ASSERT_TRUE(tree.ok());
     const std::vector<int64_t> aggregates =
         workload->licenses->AggregateCounts();
     EXPECT_TRUE(RunExhaustive(*tree, aggregates)->all_valid());
     EXPECT_TRUE(RunZeta(*tree, aggregates)->all_valid());
-    EXPECT_TRUE(
-        ValidateExhaustiveParallel(*tree, aggregates, 4)->all_valid());
-    const Result<GroupedValidationResult> grouped =
-        ValidateGroupedFromLog(*workload->licenses, online->log());
+    ValidateOptions parallel;
+    parallel.mode = ValidationMode::kExhaustive;
+    parallel.num_threads = 4;
+    EXPECT_TRUE(Validate(*tree, aggregates, parallel)->report.all_valid());
+    const Result<ValidationOutcome> grouped =
+        testing::GroupedAudit(*workload->licenses, log);
     ASSERT_TRUE(grouped.ok());
     EXPECT_TRUE(grouped->report.all_valid());
   }
@@ -210,8 +208,8 @@ TEST(IntegrationTest, IncrementalAndGroupedAgreeOnGeneratedStream) {
       last[violation.set] = violation;
     }
   }
-  const Result<GroupedValidationResult> full =
-      ValidateGroupedFromLog(*workload->licenses, workload->log);
+  const Result<ValidationOutcome> full =
+      testing::GroupedAudit(*workload->licenses, workload->log);
   ASSERT_TRUE(full.ok());
   EXPECT_EQ(last.size(), full->report.violations.size());
 }

@@ -7,7 +7,7 @@
 
 #include "core/grouping.h"
 #include "core/instance_validator.h"
-#include "core/online_validator.h"
+#include "service/issuance_service.h"
 #include "licensing/license_parser.h"
 #include "licensing/license_serialization.h"
 #include "test_util.h"
@@ -159,18 +159,19 @@ TEST(BlackoutWindowsTest, OnlineValidationWithWindows) {
       .SetAggregateCount(50)
       .SetIntervalUnion("C1", {{0, 10}, {20, 30}});
   ASSERT_TRUE(set.Add(*builder.Build()).ok());
-  Result<OnlineValidator> validator = OnlineValidator::Create(&set);
+  Result<std::unique_ptr<IssuanceService>> validator =
+      IssuanceService::Create(&set);
   ASSERT_TRUE(validator.ok());
   EXPECT_TRUE(
-      validator->TryIssue(MakeUsage(schema, "U1", {{0, 5}}, 30))->accepted());
+      (*validator)->TryIssue(MakeUsage(schema, "U1", {{0, 5}}, 30))->accepted());
   // Gap-spanning issue fails instance validation, so the budget stays.
-  EXPECT_FALSE(validator->TryIssue(MakeUsage(schema, "U2", {{8, 22}}, 10))
+  EXPECT_FALSE((*validator)->TryIssue(MakeUsage(schema, "U2", {{8, 22}}, 10))
                    ->instance_valid);
-  EXPECT_TRUE(validator->TryIssue(MakeUsage(schema, "U3", {{25, 30}}, 20))
+  EXPECT_TRUE((*validator)->TryIssue(MakeUsage(schema, "U3", {{25, 30}}, 20))
                   ->accepted());
   // Budget now exhausted.
   EXPECT_FALSE(
-      validator->TryIssue(MakeUsage(schema, "U4", {{0, 1}}, 1))->accepted());
+      (*validator)->TryIssue(MakeUsage(schema, "U4", {{0, 1}}, 1))->accepted());
 }
 
 TEST(BlackoutWindowsTest, BinarySerializationRoundTrip) {

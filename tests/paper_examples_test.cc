@@ -5,12 +5,12 @@
 #include <gtest/gtest.h>
 
 #include "core/gain.h"
-#include "core/grouped_validator.h"
 #include "core/grouping.h"
 #include "core/instance_validator.h"
-#include "core/online_validator.h"
 #include "core/overlap_graph.h"
+#include "core/tree_division.h"
 #include "licensing/license_parser.h"
+#include "service/issuance_service.h"
 #include "validation/validation_tree.h"
 #include "validation/validate.h"
 
@@ -19,9 +19,7 @@
 namespace geolic {
 namespace {
 
-// Adapters over the Validate facade (the pre-facade bare entry points
-// ValidateExhaustive/ValidateExhaustiveLimited/ValidateZeta were folded
-// into Validate; see validation/validate.h).
+// Adapters over the Validate facade (validation/validate.h).
 Result<ValidationReport> RunExhaustive(
     const ValidationTree& tree, const std::vector<int64_t>& aggregates) {
   ValidateOptions options;
@@ -101,15 +99,15 @@ TEST_F(PaperExamplesTest, Example1BothLicensesValidUnderEquationValidation) {
   // The paper's point: random selection of L_D^2 for LU1 would leave only
   // 200 counts and wrongly invalidate LU2; equation-based validation
   // accepts both.
-  Result<OnlineValidator> validator =
-      OnlineValidator::Create(licenses_.get());
+  Result<std::unique_ptr<IssuanceService>> validator =
+      IssuanceService::Create(licenses_.get());
   ASSERT_TRUE(validator.ok());
-  const Result<OnlineDecision> first =
-      validator->TryIssue(Usage("LU1", "[15/03/09, 19/03/09]", "India", 800));
+  const Result<OnlineDecision> first = (*validator)->TryIssue(
+      Usage("LU1", "[15/03/09, 19/03/09]", "India", 800));
   ASSERT_TRUE(first.ok());
   EXPECT_TRUE(first->accepted());
-  const Result<OnlineDecision> second =
-      validator->TryIssue(Usage("LU2", "[21/03/09, 24/03/09]", "Japan", 400));
+  const Result<OnlineDecision> second = (*validator)->TryIssue(
+      Usage("LU2", "[21/03/09, 24/03/09]", "Japan", 400));
   ASSERT_TRUE(second.ok());
   EXPECT_TRUE(second->accepted());
 }
@@ -249,8 +247,10 @@ TEST_F(PaperExamplesTest, Section42GainIllustration) {
 
   Result<ValidationTree> tree = ValidationTree::BuildFromLog(Table2Log());
   ASSERT_TRUE(tree.ok());
-  const Result<GroupedValidationResult> grouped =
-      ValidateGrouped(*licenses_, *std::move(tree));
+  ValidateOptions options;
+  options.mode = ValidationMode::kGrouped;
+  const Result<ValidationOutcome> grouped =
+      Validate(*licenses_, *std::move(tree), options);
   ASSERT_TRUE(grouped.ok());
   EXPECT_EQ(grouped->report.equations_evaluated, 10u);  // 7 + 3 vs 31.
   EXPECT_TRUE(grouped->report.all_valid());

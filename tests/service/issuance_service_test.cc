@@ -1,13 +1,15 @@
 #include "service/issuance_service.h"
 
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/online_validator.h"
+#include "sim/reference_model.h"
 #include "test_util.h"
 
 namespace geolic {
@@ -52,47 +54,96 @@ License RequestAt(const ConstraintSchema& schema, int i) {
   }
 }
 
-TEST(IssuanceServiceTest, MatchesOnlineValidatorSerially) {
+// Position of `limiting` in the service's scan: extensions T − S of S are
+// walked in ascending big-integer order over the subsets of scope − S, so
+// T is the (rank + 1)-th equation, where rank packs the bits of T − S at
+// their positions within scope − S.
+uint64_t EquationsUpTo(const LicenseSet& s, const LicenseSet& scope,
+                       const LicenseSet& limiting) {
+  const LicenseSet extension = limiting - s;
+  const LicenseSet free_bits = scope - s;
+  uint64_t rank = 0;
+  int bit = 0;
+  for (const int index : free_bits.Indexes()) {
+    if (extension.Contains(index)) {
+      rank |= uint64_t{1} << bit;
+    }
+    ++bit;
+  }
+  return rank + 1;
+}
+
+// The executable spec (sim/reference_model.h) decides every request the
+// same way the sharded service does — limiting equation included — and
+// the equation count is exactly the spec's scan length within S's overlap
+// group: 2^(N_g − k) on acceptance, the limiting equation's position on
+// rejection.
+TEST(IssuanceServiceTest, MatchesReferenceModelSerially) {
   const ConstraintSchema schema = IntervalSchema(1);
   const LicenseCatalog licenses = ThreeGroupSet(schema, 5);
 
   Result<std::unique_ptr<IssuanceService>> service =
       IssuanceService::Create(&licenses);
   ASSERT_TRUE(service.ok());
-  Result<OnlineValidator> validator = OnlineValidator::Create(&licenses);
-  ASSERT_TRUE(validator.ok());
+  ReferenceModel model(&licenses);
 
   // Past the budget of 5 per group so both reject the tail identically.
+  int rejected_aggregate = 0;
   for (int i = 0; i < 40; ++i) {
     const License request = RequestAt(schema, i);
     const Result<OnlineDecision> got = (*service)->TryIssue(request);
-    const Result<OnlineDecision> want = validator->TryIssue(request);
     ASSERT_TRUE(got.ok());
-    ASSERT_TRUE(want.ok());
-    EXPECT_EQ(got->instance_valid, want->instance_valid) << i;
-    EXPECT_EQ(got->aggregate_valid, want->aggregate_valid) << i;
-    EXPECT_EQ(got->satisfying_set, want->satisfying_set) << i;
-    EXPECT_EQ(got->equations_checked, want->equations_checked) << i;
-    if (!want->aggregate_valid && want->instance_valid) {
-      EXPECT_EQ(got->limiting.set, want->limiting.set) << i;
-      EXPECT_EQ(got->limiting.lhs, want->limiting.lhs) << i;
+    const ReferenceModel::Decision want = model.TryIssue(request);
+    EXPECT_EQ(got->instance_valid, want.instance_valid) << i;
+    EXPECT_EQ(got->aggregate_valid, want.aggregate_valid) << i;
+    EXPECT_EQ(got->satisfying_set, want.satisfying_set) << i;
+    if (!want.instance_valid) {
+      EXPECT_EQ(got->equations_checked, 0u) << i;
+      continue;
+    }
+    LicenseSet scope;
+    for (const LicenseSet& component : model.components()) {
+      if (want.satisfying_set.IsSubsetOf(component)) {
+        scope = component;
+      }
+    }
+    if (want.aggregate_valid) {
+      EXPECT_EQ(got->equations_checked,
+                uint64_t{1} << (scope - want.satisfying_set).Size())
+          << i;
+      model.Apply(want.satisfying_set, request.aggregate_count());
+    } else {
+      ++rejected_aggregate;
+      EXPECT_EQ(got->limiting.set, want.limiting_set) << i;
+      EXPECT_EQ(got->limiting.lhs, want.limiting_lhs) << i;
+      EXPECT_EQ(got->limiting.rhs, want.limiting_rhs) << i;
+      EXPECT_EQ(got->equations_checked,
+                EquationsUpTo(want.satisfying_set, scope, want.limiting_set))
+          << i;
     }
   }
+  EXPECT_GT(rejected_aggregate, 0);
+  ASSERT_TRUE(model.CheckInvariant().ok());
 
-  // Same accepted state: the merged tree equals the serial validator's
-  // (tree shape is canonical, independent of insertion order).
+  // Same accepted state: the merged tree answers every C⟨T⟩ as the spec
+  // does, and the log holds the spec's exact counts.
   const Result<ValidationTree> tree = (*service)->CollectTree();
   ASSERT_TRUE(tree.ok());
-  EXPECT_EQ(tree->ToString(), validator->tree().ToString());
-  EXPECT_EQ((*service)->CollectLog().MergedCounts(),
-            validator->log().MergedCounts());
+  const std::unordered_map<LicenseSet, int64_t> merged =
+      (*service)->CollectLog().MergedCounts();
+  const std::map<LicenseSet, int64_t> counts(merged.begin(), merged.end());
+  EXPECT_EQ(counts, model.counts());
+  const uint64_t full = licenses.AllMask().AsWord();
+  for (uint64_t word = 1; word <= full; ++word) {
+    const LicenseSet set = LicenseSet::FromWord(word);
+    EXPECT_EQ(tree->SumSubsets(set), model.SumSubsets(set)) << set;
+  }
 
   // The offline-audit snapshot: a flat compile of the same merged tree.
   const Result<FlatValidationTree> flat = (*service)->CollectFlatTree();
   ASSERT_TRUE(flat.ok());
   EXPECT_EQ(flat->NodeCount(), tree->NodeCount());
   EXPECT_EQ(flat->TotalCount(), tree->TotalCount());
-  const uint64_t full = licenses.AllMask().AsWord();
   for (uint64_t word = 1; word <= full; ++word) {
     const LicenseSet set = LicenseSet::FromWord(word);
     EXPECT_EQ(flat->SumSubsets(set), tree->SumSubsets(set)) << set;
@@ -140,13 +191,17 @@ TEST(IssuanceServiceTest, ConcurrentStressMatchesSerialReplay) {
   EXPECT_EQ(metrics.latency.total_count, 640u);
 
   // The final tree/log equal a single-threaded replay of the accepted log.
-  Result<OnlineValidator> rebuilt = OnlineValidator::CreateWithHistory(
-      &licenses, OnlineValidatorOptions(), log);
+  OnlineValidatorOptions serial;
+  serial.shard_hint = 1;
+  Result<std::unique_ptr<IssuanceService>> rebuilt =
+      IssuanceService::CreateWithHistory(&licenses, serial, log);
   ASSERT_TRUE(rebuilt.ok());
   const Result<ValidationTree> tree = (*service)->CollectTree();
+  const Result<ValidationTree> rebuilt_tree = (*rebuilt)->CollectTree();
   ASSERT_TRUE(tree.ok());
-  EXPECT_EQ(tree->ToString(), rebuilt->tree().ToString());
-  EXPECT_EQ(log.MergedCounts(), rebuilt->log().MergedCounts());
+  ASSERT_TRUE(rebuilt_tree.ok());
+  EXPECT_EQ(tree->ToString(), rebuilt_tree->ToString());
+  EXPECT_EQ(log.MergedCounts(), (*rebuilt)->CollectLog().MergedCounts());
 }
 
 TEST(IssuanceServiceTest, BatchMatchesSequentialIssue) {

@@ -14,11 +14,22 @@
 #include "util/check.h"
 #include "util/license_set.h"
 #include "util/random.h"
+#include "validation/log_store.h"
+#include "validation/validate.h"
 
 namespace geolic::testing {
 
 // Shorthand for a single-word LicenseSet literal: Mask(0b101) == {L1, L3}.
 inline LicenseSet Mask(uint64_t word) { return LicenseSet::FromWord(word); }
+
+// The paper's offline audit: grouped validation of `log` against
+// `licenses` (grouping, tree division, Algorithm 2 per group).
+inline Result<ValidationOutcome> GroupedAudit(const LicenseCatalog& licenses,
+                                              const LogStore& log) {
+  ValidateOptions options;
+  options.mode = ValidationMode::kGrouped;
+  return Validate(licenses, log, options);
+}
 
 // Seed for randomized tests: `default_seed` unless the GEOLIC_TEST_SEED
 // environment variable overrides it (parsed with base auto-detection, so

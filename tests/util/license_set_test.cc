@@ -94,7 +94,7 @@ TEST(LicenseSetInlineFuzzTest, SubsetIterationOrderMatchesSeedDescent) {
 }
 
 TEST(LicenseSetInlineFuzzTest, AscendingIterationAndLimitingEquation) {
-  // The online validator's extension scan enumerates ALL subsets ascending
+  // The online admission extension scan enumerates ALL subsets ascending
   // (empty first) via `sub = (sub - mask) & mask`; the first violated
   // equation it meets is the reported limiting set. Both the order and the
   // resulting limiting choice must match the seed trick.

@@ -13,9 +13,7 @@
 namespace geolic {
 namespace {
 
-// Adapters over the Validate facade (the pre-facade bare entry points
-// ValidateExhaustive/ValidateExhaustiveLimited/ValidateZeta were folded
-// into Validate; see validation/validate.h).
+// Adapters over the Validate facade (validation/validate.h).
 Result<ValidationReport> RunExhaustive(
     const ValidationTree& tree, const std::vector<int64_t>& aggregates) {
   ValidateOptions options;
@@ -126,15 +124,19 @@ TEST(FrequencyOrderedValidationTest, MatchesPlainOrdering) {
         RunExhaustive(*plain_tree, aggregates);
     ASSERT_TRUE(plain.ok());
 
-    const Result<ValidationReport> ordered =
-        ValidateExhaustiveFrequencyOrdered(workload->log, aggregates);
+    ValidateOptions options;
+    options.mode = ValidationMode::kExhaustive;
+    options.order = TreeOrder::kDescendingFrequency;
+    const Result<ValidationOutcome> ordered =
+        Validate(workload->log, aggregates, options);
     ASSERT_TRUE(ordered.ok());
-    EXPECT_EQ(ordered->equations_evaluated, plain->equations_evaluated);
+    EXPECT_EQ(ordered->report.equations_evaluated,
+              plain->equations_evaluated);
 
     // Same violation multisets (order differs: relabeled enumeration).
     auto key = [](const EquationResult& e) { return e.set; };
     std::vector<EquationResult> a = plain->violations;
-    std::vector<EquationResult> b = ordered->violations;
+    std::vector<EquationResult> b = ordered->report.violations;
     ASSERT_EQ(a.size(), b.size());
     std::sort(a.begin(), a.end(), [&](const auto& x, const auto& y) {
       return key(x) < key(y);

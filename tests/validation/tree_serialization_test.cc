@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "persist/checkpoint.h"
 #include "test_util.h"
 #include "util/random.h"
 
@@ -204,67 +205,63 @@ TEST(TreeSerializationTest, V2EveryFlippedByteFailsTheLoad) {
   }
 }
 
-TEST(TreeSerializationTest, LegacyV1StillLoads) {
-  const ValidationTree original = SampleTree();
+// The tree body SerializeTree frames (node count u64, then preorder
+// triples), and a loader run over a body re-framed with valid CRCs — so
+// the body parser's own structural checks, not the checksums, must catch
+// the corruption.
+std::string SampleBody() {
   std::stringstream buffer;
-  ASSERT_TRUE(SerializeTreeV1(original, &buffer).ok());
-  const Result<ValidationTree> loaded = DeserializeTree(&buffer);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->ToString(), original.ToString());
+  EXPECT_TRUE(SerializeTree(SampleTree(), &buffer).ok());
+  Result<std::string> payload =
+      ReadCheckpointPayload(CheckpointKind::kValidationTree, &buffer);
+  EXPECT_TRUE(payload.ok());
+  return *payload;
 }
 
-TEST(TreeSerializationTest, LegacyV1RejectsTruncatedHeader) {
-  std::stringstream buffer;
-  ASSERT_TRUE(SerializeTreeV1(SampleTree(), &buffer).ok());
-  const std::string bytes = buffer.str();
-  // Cut inside the node-count field (after the magic, before the payload).
-  for (size_t cut = 0; cut < 16; ++cut) {
-    std::stringstream truncated(bytes.substr(0, cut));
-    EXPECT_FALSE(DeserializeTree(&truncated).ok()) << "cut=" << cut;
+Result<ValidationTree> LoadFramedBody(const std::string& body) {
+  std::stringstream framed;
+  EXPECT_TRUE(
+      WriteCheckpoint(CheckpointKind::kValidationTree, body, &framed).ok());
+  return DeserializeTree(&framed);
+}
+
+TEST(TreeSerializationTest, BodyRejectsTruncatedHeader) {
+  const std::string body = SampleBody();
+  // Cut inside the node-count field.
+  for (size_t cut = 0; cut < 8; ++cut) {
+    EXPECT_FALSE(LoadFramedBody(body.substr(0, cut)).ok()) << "cut=" << cut;
   }
 }
 
-TEST(TreeSerializationTest, LegacyV1RejectsOverdeclaredNodeCount) {
-  std::stringstream buffer;
-  ASSERT_TRUE(SerializeTreeV1(SampleTree(), &buffer).ok());
-  std::string bytes = buffer.str();
-  // Node count (u64 at offset 8) claims one more node than the payload
+TEST(TreeSerializationTest, BodyRejectsOverdeclaredNodeCount) {
+  std::string body = SampleBody();
+  // Node count (u64 at offset 0) claims one more node than the payload
   // holds: the reader must run out of declared payload, not over-read.
-  ++bytes[8];
-  std::stringstream in(bytes);
-  const Result<ValidationTree> loaded = DeserializeTree(&in);
+  ++body[0];
+  const Result<ValidationTree> loaded = LoadFramedBody(body);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
 }
 
-TEST(TreeSerializationTest, LegacyV1RejectsChildCountOverrun) {
-  std::stringstream buffer;
-  ASSERT_TRUE(SerializeTreeV1(SampleTree(), &buffer).ok());
-  std::string bytes = buffer.str();
-  // Root triple starts at 16 (magic 8 + count 8); its child_count is the
-  // u32 at 16 + 4 + 8. Claim far more children than declared nodes.
-  bytes[16 + 4 + 8] = static_cast<char>(0xff);
-  std::stringstream in(bytes);
-  const Result<ValidationTree> loaded = DeserializeTree(&in);
+TEST(TreeSerializationTest, BodyRejectsChildCountOverrun) {
+  std::string body = SampleBody();
+  // Root triple starts at 8 (after the count); its child_count is the u32
+  // at 8 + 4 + 8. Claim far more children than declared nodes.
+  body[8 + 4 + 8] = static_cast<char>(0xff);
+  const Result<ValidationTree> loaded = LoadFramedBody(body);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
 }
 
-// v1's documented blindness: with no checksums, a flipped bit inside a
-// count field loads cleanly and silently corrupts every downstream C<S>.
-// This is the failure mode the v2 container exists to close.
-TEST(TreeSerializationTest, LegacyV1CannotDetectFlippedCountByte) {
-  const ValidationTree original = SampleTree();
-  std::stringstream buffer;
-  ASSERT_TRUE(SerializeTreeV1(original, &buffer).ok());
-  std::string bytes = buffer.str();
-  // First child triple at 16 + 16; its count is the i64 at +4. Flipping a
-  // low bit keeps the count positive, so no invariant trips.
-  bytes[16 + 16 + 4] = static_cast<char>(bytes[16 + 16 + 4] ^ 0x01);
-  std::stringstream in(bytes);
+// The retired unchecksummed v1 format: magic "GLTREE1\0", then the bare
+// body. Loading it must fail by name.
+TEST(TreeSerializationTest, RetiredV1FormatIsRejectedByName) {
+  std::stringstream in(std::string("GLTREE1\0", 8) + SampleBody());
   const Result<ValidationTree> loaded = DeserializeTree(&in);
-  ASSERT_TRUE(loaded.ok());  // Loads fine...
-  EXPECT_NE(loaded->ToString(), original.ToString());  // ...wrong counts.
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
+  EXPECT_NE(loaded.status().message().find("GLTREE1"), std::string::npos)
+      << loaded.status().message();
 }
 
 // Fuzz: random byte soup and random mutations of a valid v2 document must

@@ -1,20 +1,17 @@
 #include "validation/validate.h"
 
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/grouped_validator.h"
-#include "core/parallel_validator.h"
+#include "obs/trace.h"
 #include "test_util.h"
-#include "validation/frequency_order.h"
 
 namespace geolic {
 namespace {
 
-// Adapters over the Validate facade (the pre-facade bare entry points
-// ValidateExhaustive/ValidateExhaustiveLimited/ValidateZeta were folded
-// into Validate; see validation/validate.h).
+// Adapters over the Validate facade (validation/validate.h).
 Result<ValidationReport> RunExhaustive(
     const ValidationTree& tree, const std::vector<int64_t>& aggregates) {
   ValidateOptions options;
@@ -48,9 +45,6 @@ Result<ValidationReport> RunZeta(const ValidationTree& tree,
 
 using testing::IntervalSchema;
 using testing::MakeRedistribution;
-
-// The seven pre-facade entry points must produce byte-identical reports to
-// the Validate(...) calls they now delegate to — this pins the contract.
 
 void ExpectSameReport(const ValidationReport& a, const ValidationReport& b) {
   EXPECT_EQ(a.equations_evaluated, b.equations_evaluated);
@@ -167,72 +161,14 @@ TEST(ValidateFacadeTest, ZetaWrapperIsByteIdentical) {
   ASSERT_EQ(old_report->violations.size(), exhaustive->violations.size());
 }
 
-TEST(ValidateFacadeTest, FrequencyOrderedWrapperIsByteIdentical) {
-  const ConstraintSchema schema = IntervalSchema(1);
-  const std::vector<int64_t> aggregates =
-      Licenses(schema).AggregateCounts();
-  const LogStore log = Log();
-
-  const Result<ValidationReport> old_report =
-      ValidateExhaustiveFrequencyOrdered(log, aggregates);
-  ValidateOptions options;
-  options.mode = ValidationMode::kExhaustive;
-  options.order = TreeOrder::kDescendingFrequency;
-  const Result<ValidationOutcome> outcome = Validate(log, aggregates, options);
-  ASSERT_TRUE(old_report.ok());
-  ASSERT_TRUE(outcome.ok());
-  ExpectSameReport(*old_report, outcome->report);
-}
-
-TEST(ValidateFacadeTest, GroupedWrappersAreByteIdentical) {
-  const ConstraintSchema schema = IntervalSchema(1);
-  const LicenseCatalog licenses = Licenses(schema);
-
-  const Result<GroupedValidationResult> old_result =
-      ValidateGrouped(licenses, Tree());
-  ValidateOptions options;
-  options.mode = ValidationMode::kGrouped;
-  const Result<ValidationOutcome> outcome =
-      Validate(licenses, Tree(), options);
-  ASSERT_TRUE(old_result.ok());
-  ASSERT_TRUE(outcome.ok());
-  ExpectSameReport(old_result->report, outcome->report);
-  EXPECT_EQ(old_result->group_count, outcome->group_count);
-  EXPECT_EQ(old_result->group_sizes, outcome->group_sizes);
-  EXPECT_EQ(outcome->group_count, 3);
-
-  const Result<GroupedValidationResult> from_log =
-      ValidateGroupedFromLog(licenses, Log());
-  const Result<ValidationOutcome> log_outcome =
-      Validate(licenses, Log(), options);
-  ASSERT_TRUE(from_log.ok());
-  ASSERT_TRUE(log_outcome.ok());
-  ExpectSameReport(from_log->report, log_outcome->report);
-
-  const Result<GroupedValidationResult> zeta =
-      ValidateGroupedZeta(licenses, Tree());
-  ValidateOptions zeta_options;
-  zeta_options.mode = ValidationMode::kGroupedZeta;
-  const Result<ValidationOutcome> zeta_outcome =
-      Validate(licenses, Tree(), zeta_options);
-  ASSERT_TRUE(zeta.ok());
-  ASSERT_TRUE(zeta_outcome.ok());
-  ExpectSameReport(zeta->report, zeta_outcome->report);
-}
-
-TEST(ValidateFacadeTest, ParallelWrappersMatchSerialReports) {
+TEST(ValidateFacadeTest, ParallelMatchesSerialReports) {
   const ConstraintSchema schema = IntervalSchema(1);
   const LicenseCatalog licenses = Licenses(schema);
   const std::vector<int64_t> aggregates = licenses.AggregateCounts();
   const ValidationTree tree = Tree();
 
-  const Result<ValidationReport> parallel =
-      ValidateExhaustiveParallel(tree, aggregates, 4);
   const Result<ValidationReport> serial = RunExhaustive(tree, aggregates);
-  ASSERT_TRUE(parallel.ok());
   ASSERT_TRUE(serial.ok());
-  ExpectSameReport(*parallel, *serial);
-
   ValidateOptions options;
   options.mode = ValidationMode::kExhaustive;
   options.num_threads = 4;
@@ -241,12 +177,15 @@ TEST(ValidateFacadeTest, ParallelWrappersMatchSerialReports) {
   ASSERT_TRUE(outcome.ok());
   ExpectSameReport(outcome->report, *serial);
 
-  const Result<GroupedValidationResult> grouped_parallel =
-      ValidateGroupedParallel(licenses, Tree(), 4);
-  const Result<GroupedValidationResult> grouped =
-      ValidateGrouped(licenses, Tree());
-  ASSERT_TRUE(grouped_parallel.ok());
+  ValidateOptions grouped_options;
+  grouped_options.mode = ValidationMode::kGrouped;
+  const Result<ValidationOutcome> grouped =
+      Validate(licenses, Tree(), grouped_options);
+  grouped_options.num_threads = 4;
+  const Result<ValidationOutcome> grouped_parallel =
+      Validate(licenses, Tree(), grouped_options);
   ASSERT_TRUE(grouped.ok());
+  ASSERT_TRUE(grouped_parallel.ok());
   ExpectSameReport(grouped_parallel->report, grouped->report);
 }
 
@@ -286,6 +225,43 @@ TEST(ValidateFacadeTest, GroupedModeNeedsGeometry) {
   ASSERT_FALSE(outcome.ok());
   EXPECT_EQ(outcome.status().code(), StatusCode::kInvalidArgument);
 }
+
+#ifndef GEOLIC_DISABLE_TRACING
+// The grouped engine records exactly one D_T span (grouping + division +
+// reindexing) and one V_T span (all per-group evaluation), whatever the
+// per-group engine and however many workers evaluate the groups.
+TEST(ValidateFacadeTest, GroupedModesRecordOneSpanPerStage) {
+  const ConstraintSchema schema = IntervalSchema(1);
+  const LicenseCatalog licenses = Licenses(schema);
+  for (const ValidationMode mode :
+       {ValidationMode::kGrouped, ValidationMode::kGroupedZeta}) {
+    for (const int threads : {1, 2}) {
+      Tracer tracer;
+      ValidateOptions options;
+      options.mode = mode;
+      options.num_threads = threads;
+      options.tracer = &tracer;
+      const Result<ValidationOutcome> outcome =
+          Validate(licenses, Log(), options);
+      ASSERT_TRUE(outcome.ok());
+      EXPECT_EQ(outcome->group_count, 3);
+      int division = 0;
+      int validation = 0;
+      for (const TraceSpan& span : tracer.CollectSpans()) {
+        division += span.stage == TraceStage::kTreeDivision ? 1 : 0;
+        validation += span.stage == TraceStage::kOfflineValidation ? 1 : 0;
+      }
+      const std::string where = std::string(mode == ValidationMode::kGrouped
+                                                ? "kGrouped"
+                                                : "kGroupedZeta") +
+                                " threads=" + std::to_string(threads);
+      EXPECT_EQ(division, 1) << where;
+      EXPECT_EQ(validation, 1) << where;
+      EXPECT_EQ(tracer.spans_recorded(), 2u) << where;
+    }
+  }
+}
+#endif  // GEOLIC_DISABLE_TRACING
 
 }  // namespace
 }  // namespace geolic
