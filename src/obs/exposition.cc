@@ -156,6 +156,18 @@ std::string RenderPrometheusText(const ExpositionInput& input) {
   out += "geolic_batched_requests_total{" + svc + "} " +
          std::to_string(input.metrics.batched_requests) + "\n";
 
+  AppendFamilyHeader("geolic_reconfig_records_migrated_total", "counter",
+                     "Log records copied into rebuilt shards by catalog "
+                     "reconfigurations.",
+                     &out);
+  out += "geolic_reconfig_records_migrated_total{" + svc + "} " +
+         std::to_string(input.metrics.reconfig_records_migrated) + "\n";
+  AppendFamilyHeader("geolic_reconfig_shards_carried_total", "counter",
+                     "Shards handed unchanged to the next catalog epoch.",
+                     &out);
+  out += "geolic_reconfig_shards_carried_total{" + svc + "} " +
+         std::to_string(input.metrics.reconfig_shards_carried) + "\n";
+
   AppendFamilyHeader("geolic_latency_clamped_negative_total", "counter",
                      "Latency samples clamped at zero.", &out);
   out += "geolic_latency_clamped_negative_total{" + svc + "} " +
@@ -326,6 +338,12 @@ std::string RenderJson(const ExpositionInput& input) {
   json.BeginObject();
   json.KeyValue("count", input.metrics.batches);
   json.KeyValue("requests", input.metrics.batched_requests);
+  json.EndObject();
+
+  json.Key("reconfig");
+  json.BeginObject();
+  json.KeyValue("records_migrated", input.metrics.reconfig_records_migrated);
+  json.KeyValue("shards_carried", input.metrics.reconfig_shards_carried);
   json.EndObject();
 
   json.Key("latency");

@@ -82,26 +82,117 @@ Result<std::vector<int>> ComputeExpired(const std::vector<License>& active,
   return expired;
 }
 
-// Carries one pre-reconfiguration record into the next epoch's index
-// space: dropped (returns false) when its set touches a removed license —
-// usage granted under a revoked right is revoked with it — otherwise
-// renumbered densely through `old_to_new` (paper Algorithm 5).
-// `skip_renumbering` is the planted lifecycle bug for the simulation
-// harness's mutation smoke: survivors keep their stale bit positions.
-bool RemapRecord(const LicenseSet& removed, const std::vector<int>& old_to_new,
-                 bool skip_renumbering, LogRecord* record) {
-  if (record->set.Intersects(removed)) {
-    return false;
-  }
-  if (removed.Empty() || skip_renumbering) {
-    return true;  // Acquisition (or the planted bug): indexes unchanged.
-  }
+// Renumbers a surviving record's set densely through `old_to_new` (paper
+// Algorithm 5). Callers drop records whose set touches a removed license
+// first: usage granted under a revoked right is revoked with it.
+LicenseSet Renumber(const LicenseSet& set, const std::vector<int>& old_to_new) {
   LicenseSet renumbered;
-  for (int i : record->set.Indexes()) {
+  for (int i : set.Indexes()) {
     renumbered.Add(old_to_new[static_cast<size_t>(i)]);
   }
-  record->set = renumbered;
-  return true;
+  return renumbered;
+}
+
+// What a reconfiguration does with one old shard.
+struct ShardCarry {
+  // New shard that takes the old shard object as-is; -1 = rebuild.
+  int to = -1;
+  // The shard's old groups that lose a license. The carry stands only
+  // while none of them holds a record (checked on the tree under the
+  // shard lock, and again at the cut).
+  std::vector<LicenseSet> must_stay_empty;
+};
+
+// The carry rule. Groups share no equations (Theorem 2), so a
+// reconfiguration only has to re-divide the groups it changes. Old shard
+// `s` is carried into new shard `n` when
+//  * every old group of `s` that loses no license reappears in the new
+//    grouping with its exact mask, and old_to_new is the identity on it,
+//    so its records keep their sets;
+//  * every other old group of `s` holds no records (`must_stay_empty`);
+//  * `n`'s groups are exactly those kept groups, plus at most the
+//    singleton group of a newly acquired license (which holds nothing).
+// Groups are compared by mask, never by id: ids shift whenever a group
+// below them merges, splits or vanishes. Carries are kept strictly
+// ascending in both old and new shard index, so consecutive epochs agree
+// on the relative order of every shard they share and locking "in index
+// order" stays one global order. Result: one entry per old shard.
+std::vector<ShardCarry> PlanCarries(const LicenseGrouping& before,
+                                    size_t before_shards,
+                                    const LicenseGrouping& after,
+                                    size_t after_shards,
+                                    const LicenseSet& removed, int acquired,
+                                    const std::vector<int>& old_to_new) {
+  // Group g lives on shard g % shards, so a shard's groups are the stride
+  // s, s + shards, s + 2·shards, …, in ascending order of lowest license.
+  const int old_groups = before.group_count();
+  const int new_groups = after.group_count();
+  const int old_stride = static_cast<int>(before_shards);
+  const int new_stride = static_cast<int>(after_shards);
+  const LicenseSet acquired_group =
+      acquired >= 0 ? LicenseSet::Singleton(acquired) : LicenseSet();
+  // The first group at or after `g` on g's new shard that is not the
+  // acquired singleton (new_groups when there is none).
+  const auto next_wanted = [&](int g) {
+    while (g < new_groups && after.GroupMask(g) == acquired_group) {
+      g += new_stride;
+    }
+    return g;
+  };
+  std::vector<ShardCarry> carries(before_shards);
+  int last_from = -1;
+  for (int n = 0; n < new_stride; ++n) {
+    int want = next_wanted(n);
+    if (want >= new_groups) {
+      continue;
+    }
+    // The only candidate is the old shard that owned the first wanted
+    // group's lowest license (under the identity, the index is unchanged).
+    // That license is never the acquired one, which sorts last.
+    const int lowest = after.GroupMask(want).Lowest();
+    if (old_to_new[static_cast<size_t>(lowest)] != lowest) {
+      continue;
+    }
+    const int s = before.GroupOf(lowest) % old_stride;
+    if (s <= last_from) {
+      continue;
+    }
+    // Walk both stripes in step: each old group that loses no license must
+    // be the next wanted group, and n must have none left over.
+    ShardCarry carry;
+    bool match = true;
+    for (int g = s; match && g < old_groups; g += old_stride) {
+      const LicenseSet mask = before.GroupMask(g);
+      if (mask.Intersects(removed)) {
+        carry.must_stay_empty.push_back(mask);
+        continue;
+      }
+      // Dense renumbering only shifts indexes down, so the identity on a
+      // mask's highest license implies it on every lower one.
+      const int top = mask.Highest();
+      match = want < new_groups && after.GroupMask(want) == mask &&
+              old_to_new[static_cast<size_t>(top)] == top;
+      want = next_wanted(want + new_stride);
+    }
+    if (match && want >= new_groups) {
+      carry.to = n;
+      carries[static_cast<size_t>(s)] = std::move(carry);
+      last_from = s;
+    }
+  }
+  return carries;
+}
+
+// Whether any record lies in one of `groups` (a record's set is a subset of
+// its group's mask, and counts are positive).
+bool HoldsRecords(const ValidationTree& tree,
+                  const std::vector<LicenseSet>& groups) {
+  for (const LicenseSet& mask : groups) {
+    if (tree.SumSubsets(mask) > 0) {
+      return true;
+    }
+  }
+  return false;
 }
 
 // How one journaled reconfiguration transforms license indexes.
@@ -205,7 +296,7 @@ IssuanceService::IssuanceService(const LicenseCatalog* licenses,
     const Result<int> added = dyn_grouping_.AddLicense(license.rect());
     GEOLIC_CHECK(added.ok());
   }
-  state_.store(std::move(epoch0), std::memory_order_release);
+  Publish(std::move(epoch0));
 }
 
 std::shared_ptr<IssuanceService::CatalogEpoch> IssuanceService::BuildEpoch(
@@ -225,7 +316,7 @@ std::shared_ptr<IssuanceService::CatalogEpoch> IssuanceService::BuildEpoch(
   }
   epoch->shards.reserve(static_cast<size_t>(shard_count));
   for (int s = 0; s < shard_count; ++s) {
-    epoch->shards.push_back(std::make_unique<Shard>());
+    epoch->shards.push_back(std::make_shared<Shard>());
   }
   // Precompute every equation scope once: RouteSet hands out references
   // into these, so the per-request path never copies a LicenseSet.
@@ -271,8 +362,9 @@ Result<std::unique_ptr<IssuanceService>> IssuanceService::CreateOwned(
   return service;
 }
 
-Status IssuanceService::ApplyRecordToEpoch(CatalogEpoch* epoch,
-                                           const LogRecord& record) const {
+Status IssuanceService::ApplyRecordToEpoch(
+    CatalogEpoch* epoch, const LogRecord& record,
+    const std::vector<bool>* carried) const {
   if (!record.set.IsSubsetOf(epoch->all_mask)) {
     return Status::InvalidArgument(
         "history record references unknown license indexes");
@@ -284,6 +376,11 @@ Status IssuanceService::ApplyRecordToEpoch(CatalogEpoch* epoch,
     // contains the issued rectangle, so they pairwise overlap); a record
     // spanning groups cannot have come from a valid issuance.
     return Status::InvalidArgument("history record spans overlap groups");
+  }
+  if (carried != nullptr && (*carried)[shard_index]) {
+    // A carried shard is shared with the live previous epoch; a record
+    // routed here means the carry rule misjudged it.
+    return Status::Internal("migrated record routed into a carried shard");
   }
   Shard* shard = epoch->shards[shard_index].get();
   GEOLIC_RETURN_IF_ERROR(shard->tree.Insert(record.set, record.count));
@@ -368,8 +465,8 @@ Result<OnlineDecision> IssuanceService::TryIssue(const License& issued) {
   RequestTrace trace(options_.tracer);
   for (;;) {
     // Pin the current epoch: the shared_ptr refcount is the reader count a
-    // retiring reconfiguration waits out. Lock-free fast-reject — the
-    // pinned geometry is immutable, so the satisfying-set lookup needs no
+    // retiring reconfiguration waits out. The pinned geometry is
+    // immutable, so the satisfying-set lookup (the fast-reject) needs no
     // shard lock.
     const std::shared_ptr<const CatalogEpoch> epoch = Pin();
     decision = OnlineDecision();
@@ -621,23 +718,73 @@ Result<int> IssuanceService::ReconfigureLocked(const ReconfigPlan& plan) {
       options_, cur->epoch + 1, next_catalog_ptr, std::move(next_catalog),
       LicenseGrouping::FromComponents(next_grouping.Components()));
 
-  // Phase 2: snapshot each shard's log (one lock at a time — issuance on
-  // the other shards never stalls) and seed the new shards with the
-  // remapped survivors, re-dividing the trees into the new overlap groups
-  // (paper Algorithms 4–5). Admissions that land after a shard's snapshot
-  // are caught up in phase 3.
+  // Shards whose groups the reconfiguration leaves alone move into the
+  // next epoch as the same object — mutex, tree and log — instead of
+  // being rebuilt; `carried_into` marks their slots, which must never
+  // receive a migrated record.
+  std::vector<ShardCarry> carries = PlanCarries(
+      cur->grouping, cur->shards.size(), next->grouping, next->shards.size(),
+      plan.removed, plan.acquire != nullptr ? result : -1, old_to_new);
+  std::vector<bool> carried_into(next->shards.size(), false);
+  for (size_t s = 0; s < carries.size(); ++s) {
+    if (carries[s].to >= 0) {
+      next->shards[static_cast<size_t>(carries[s].to)] = cur->shards[s];
+      carried_into[static_cast<size_t>(carries[s].to)] = true;
+    }
+  }
+  // Whether old shard `s` is still carried; demotes it to a rebuild when
+  // one of its removed groups holds records. Caller holds the shard's
+  // lock.
+  const auto keep_carry = [&](size_t s) {
+    ShardCarry& carry = carries[s];
+    if (carry.to < 0) {
+      return false;
+    }
+    if (!HoldsRecords(cur->shards[s]->tree, carry.must_stay_empty)) {
+      return true;
+    }
+    const size_t to = static_cast<size_t>(carry.to);
+    next->shards[to] = std::make_shared<Shard>();
+    carried_into[to] = false;
+    carry.to = -1;
+    return false;
+  };
+  uint64_t migrated = 0;
+  const bool renumber = !plan.removed.Empty() && !options_.sim_skip_renumbering;
+  // Copies one surviving record into the next epoch: dropped when its set
+  // touches a removed license, renumbered densely otherwise (the
+  // `sim_skip_renumbering` planted bug keeps stale bit positions).
+  const auto migrate = [&](const LogRecord& old) {
+    if (old.set.Intersects(plan.removed)) {
+      return Status::Ok();
+    }
+    LogRecord record = old;
+    if (renumber) {
+      record.set = Renumber(record.set, old_to_new);
+    }
+    ++migrated;
+    return ApplyRecordToEpoch(next.get(), record, &carried_into);
+  };
+
+  // Phase 2: snapshot each rebuilt shard's log (one lock at a time —
+  // issuance on the other shards never stalls) and seed the new shards
+  // with the remapped survivors, re-dividing the trees into the new
+  // overlap groups (paper Algorithms 4–5). Admissions that land after a
+  // shard's snapshot are caught up in phase 3. A carried shard is only
+  // locked to check its removed groups, if it has any.
   std::vector<size_t> snapshotted(cur->shards.size(), 0);
   for (size_t s = 0; s < cur->shards.size(); ++s) {
+    if (carries[s].to >= 0 && carries[s].must_stay_empty.empty()) {
+      continue;
+    }
     Shard* shard = cur->shards[s].get();
     std::lock_guard<std::mutex> lock(shard->mutex);
+    if (keep_carry(s)) {
+      continue;
+    }
     snapshotted[s] = shard->log.size();
     for (size_t r = 0; r < snapshotted[s]; ++r) {
-      LogRecord record = shard->log.records()[r];
-      if (!RemapRecord(plan.removed, old_to_new,
-                       options_.sim_skip_renumbering, &record)) {
-        continue;
-      }
-      GEOLIC_RETURN_IF_ERROR(ApplyRecordToEpoch(next.get(), record));
+      GEOLIC_RETURN_IF_ERROR(migrate(shard->log.records()[r]));
     }
   }
 
@@ -645,20 +792,22 @@ Result<int> IssuanceService::ReconfigureLocked(const ReconfigPlan& plan) {
   // (index order) and then the journal lock, the same order the admission
   // path uses, so no admission is in flight half-applied while we cut
   // over and none can start against the old epoch after we publish.
+  // Carried shards need no catch-up: the next epoch holds the very object
+  // the admissions wrote to. Their removed groups are re-checked, since an
+  // admission may have landed in one after phase 2; a shard demoted here
+  // has snapshotted == 0 and is copied whole.
   std::vector<std::unique_lock<std::mutex>> shard_locks;
   shard_locks.reserve(cur->shards.size());
-  for (const std::unique_ptr<Shard>& shard : cur->shards) {
+  for (const std::shared_ptr<Shard>& shard : cur->shards) {
     shard_locks.emplace_back(shard->mutex);
   }
   for (size_t s = 0; s < cur->shards.size(); ++s) {
+    if (keep_carry(s)) {
+      continue;
+    }
     const std::vector<LogRecord>& records = cur->shards[s]->log.records();
     for (size_t r = snapshotted[s]; r < records.size(); ++r) {
-      LogRecord record = records[r];
-      if (!RemapRecord(plan.removed, old_to_new,
-                       options_.sim_skip_renumbering, &record)) {
-        continue;
-      }
-      GEOLIC_RETURN_IF_ERROR(ApplyRecordToEpoch(next.get(), record));
+      GEOLIC_RETURN_IF_ERROR(migrate(records[r]));
     }
   }
   if (has_journal_.load(std::memory_order_acquire)) {
@@ -683,10 +832,12 @@ Result<int> IssuanceService::ReconfigureLocked(const ReconfigPlan& plan) {
   // epoch retired is guaranteed to observe the new state on re-pin. The
   // old epoch's memory is reclaimed when its last in-flight reader drops
   // its pin (the shared_ptr count).
-  state_.store(std::shared_ptr<const CatalogEpoch>(next),
-               std::memory_order_release);
+  Publish(std::move(next));
   cur->retired.store(true, std::memory_order_release);
   dyn_grouping_ = std::move(next_grouping);
+  metrics_->RecordReconfiguration(
+      migrated, static_cast<uint64_t>(std::count(
+                    carried_into.begin(), carried_into.end(), true)));
   return result;
 }
 
@@ -781,7 +932,7 @@ int IssuanceService::shard_count() const {
 
 void IssuanceService::ReserveLogCapacity(size_t records_per_shard) {
   const std::shared_ptr<const CatalogEpoch> epoch = Pin();
-  for (const std::unique_ptr<Shard>& shard : epoch->shards) {
+  for (const std::shared_ptr<Shard>& shard : epoch->shards) {
     std::lock_guard<std::mutex> lock(shard->mutex);
     shard->log.Reserve(records_per_shard);
   }
@@ -790,7 +941,7 @@ void IssuanceService::ReserveLogCapacity(size_t records_per_shard) {
 LogStore IssuanceService::CollectLog() const {
   const std::shared_ptr<const CatalogEpoch> epoch = Pin();
   LogStore merged;
-  for (const std::unique_ptr<Shard>& shard : epoch->shards) {
+  for (const std::shared_ptr<Shard>& shard : epoch->shards) {
     std::lock_guard<std::mutex> lock(shard->mutex);
     for (const LogRecord& record : shard->log.records()) {
       // Append only fails on empty sets / nonpositive counts, which the
@@ -805,7 +956,7 @@ LogStore IssuanceService::CollectLog() const {
 Result<ValidationTree> IssuanceService::CollectTree() const {
   const std::shared_ptr<const CatalogEpoch> epoch = Pin();
   ValidationTree merged;
-  for (const std::unique_ptr<Shard>& shard : epoch->shards) {
+  for (const std::shared_ptr<Shard>& shard : epoch->shards) {
     std::lock_guard<std::mutex> lock(shard->mutex);
     Status status = Status::Ok();
     shard->tree.ForEachSet([&](LicenseSet set, int64_t count) {
@@ -889,7 +1040,7 @@ Status IssuanceService::WriteCheckpoint(const std::string& path) const {
     const std::shared_ptr<const CatalogEpoch> epoch = Pin();
     std::vector<std::unique_lock<std::mutex>> shard_locks;
     shard_locks.reserve(epoch->shards.size());
-    for (const std::unique_ptr<Shard>& shard : epoch->shards) {
+    for (const std::shared_ptr<Shard>& shard : epoch->shards) {
       shard_locks.emplace_back(shard->mutex);
     }
     if (epoch->retired.load(std::memory_order_acquire)) {
@@ -898,7 +1049,7 @@ Status IssuanceService::WriteCheckpoint(const std::string& path) const {
     std::lock_guard<std::mutex> journal_lock(journal_mutex_);
 
     LogStore merged;
-    for (const std::unique_ptr<Shard>& shard : epoch->shards) {
+    for (const std::shared_ptr<Shard>& shard : epoch->shards) {
       for (const LogRecord& record : shard->log.records()) {
         GEOLIC_RETURN_IF_ERROR(merged.Append(record));
       }
@@ -1030,7 +1181,8 @@ Result<std::unique_ptr<IssuanceService>> IssuanceService::Recover(
 
   // Stage 2 — the uncovered tail: admissions append; reconfigurations
   // evolve the catalog and remap everything accumulated so far, exactly
-  // as the live service did.
+  // as the live service did. An acquisition drops and renumbers nothing,
+  // so only removals touch the accumulated records.
   for (; at < replay.entries.size(); ++at) {
     const JournalEntry& entry = replay.entries[at];
     ++local.journal_records_replayed;
@@ -1045,15 +1197,15 @@ Result<std::unique_ptr<IssuanceService>> IssuanceService::Recover(
     GEOLIC_RETURN_IF_ERROR(EvolveCatalog(entry, &active, &evolution));
     ++epoch;
     ++local.reconfig_records_replayed;
-    std::vector<LogRecord> remapped;
-    remapped.reserve(combined.size());
-    for (LogRecord& record : combined) {
-      if (RemapRecord(evolution.removed, evolution.old_to_new,
-                      /*skip_renumbering=*/false, &record)) {
-        remapped.push_back(std::move(record));
-      }
+    if (evolution.removed.Empty()) {
+      continue;
     }
-    combined = std::move(remapped);
+    std::erase_if(combined, [&](const LogRecord& record) {
+      return record.set.Intersects(evolution.removed);
+    });
+    for (LogRecord& record : combined) {
+      record.set = Renumber(record.set, evolution.old_to_new);
+    }
   }
   local.recovered_catalog_epoch = epoch;
 

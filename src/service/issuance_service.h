@@ -120,13 +120,18 @@ struct RecoveryStats {
 //
 // Live license lifecycle (paper Figure 6 + Algorithms 4–5): the catalog,
 // grouping, instance geometry and shard map together form one immutable
-// `CatalogEpoch`, published through an atomic shared_ptr. AcquireLicense /
+// `CatalogEpoch`, published through one shared_ptr. AcquireLicense /
 // RevokeLicense / ExpireBefore build the next epoch off to the side —
 // re-dividing the shard trees into the new overlap groups and renumbering
 // license indexes densely past a removal — then publish it with a single
-// atomic swap and mark the old epoch retired. Issuance never stops:
-// readers pin the current epoch (a shared_ptr ref, no lock) for the
-// instance fast-reject, and an admission that finds its pinned epoch
+// pointer swap and mark the old epoch retired. Only the shards whose
+// groups change are rebuilt: a shard whose groups keep their masks (and
+// whose removed groups, if any, hold no records) moves into the next epoch
+// as the same object, so a reconfiguration costs O(changed shards), not
+// O(log records) — acquiring a disjoint license migrates no record at all.
+// Issuance never stops: readers pin the current epoch (a shared_ptr copy
+// under a leaf mutex held for the copy alone) for the instance
+// fast-reject, and an admission that finds its pinned epoch
 // retired after taking the shard lock simply re-pins and retries against
 // the new shard map. The retired epoch is freed when its last in-flight
 // reader drains (the shared_ptr count).
@@ -134,8 +139,9 @@ struct RecoveryStats {
 // Concurrency contract:
 //  * TryIssue / TryIssueBatch are safe to call from any number of threads,
 //    including concurrently with the lifecycle calls.
-//  * The instance-based fast-reject path is lock-free: the satisfying-set
-//    lookup reads only the pinned epoch's immutable geometry.
+//  * The instance-based fast-reject path takes no shard lock: the
+//    satisfying-set lookup reads only the pinned epoch's immutable
+//    geometry.
 //  * Lifecycle calls serialize against each other (one reconfiguration at
 //    a time) but never against the admission fast path.
 //  * CollectLog / CollectTree lock shards one at a time and return
@@ -328,8 +334,9 @@ class IssuanceService {
   // Pre-sizes every current shard's log record table for
   // `records_per_shard` appends, so steady-state admission never regrows
   // it. Call before issuance traffic starts (not synchronized against
-  // in-flight requests); shards built by a later reconfiguration size
-  // themselves from the records they inherit.
+  // in-flight requests). A later reconfiguration keeps the reservation on
+  // every shard it carries into the next epoch; the shards it rebuilds
+  // size themselves from the records they inherit.
   void ReserveLogCapacity(size_t records_per_shard);
 
   // Decision counters and latency histogram. Points at options.metrics
@@ -345,9 +352,14 @@ class IssuanceService {
   ExpositionInput Snap() const;
 
  private:
+  // One lock shard: the tree and log of the overlap groups striped onto
+  // it. A reconfiguration that leaves those groups' masks alone hands the
+  // same Shard to the next epoch, so one Shard may be shared by
+  // consecutive epochs; its masks are in the license indexes those epochs
+  // agree on.
   struct Shard {
     std::mutex mutex;
-    ValidationTree tree;  // Masks in the owning epoch's license indexes.
+    ValidationTree tree;
     LogStore log;
   };
 
@@ -375,7 +387,9 @@ class IssuanceService {
     // copying a LicenseSet (which may heap-allocate) per request.
     std::vector<LicenseSet> group_scopes;
     LicenseSet all_mask;
-    std::vector<std::unique_ptr<Shard>> shards;
+    // Shared with the neighbouring epochs for every shard a
+    // reconfiguration carried instead of rebuilding.
+    std::vector<std::shared_ptr<Shard>> shards;
     // Set (under every shard lock) when a newer epoch replaces this one.
     // An admission that observes it after locking re-pins and retries;
     // the publish order (state_ first, retired second) guarantees the
@@ -412,8 +426,11 @@ class IssuanceService {
   // Routes one record into `epoch`'s shards (scope-checked tree + log
   // insert). Caller owns exclusivity: history preload at construction,
   // off-side epoch build, or the catch-up under every old shard lock.
-  Status ApplyRecordToEpoch(CatalogEpoch* epoch,
-                            const LogRecord& record) const;
+  // `carried`, when set, flags (by shard index) the shards a
+  // reconfiguration carried over from the live epoch; routing a record
+  // into one fails with kInternal instead of writing to it.
+  Status ApplyRecordToEpoch(CatalogEpoch* epoch, const LogRecord& record,
+                            const std::vector<bool>* carried = nullptr) const;
 
   // The shared reconfiguration path (caller holds reconfig_mutex_): builds
   // the next epoch from `plan`, journals it, publishes, retires. Returns
@@ -425,7 +442,13 @@ class IssuanceService {
   Status RevokeIndexLocked(int index);
 
   std::shared_ptr<const CatalogEpoch> Pin() const {
-    return state_.load(std::memory_order_acquire);
+    std::lock_guard<std::mutex> lock(state_mutex_);
+    return state_;
+  }
+  // Makes `next` the current epoch. Callers then mark the old one retired.
+  void Publish(std::shared_ptr<const CatalogEpoch> next) {
+    std::lock_guard<std::mutex> lock(state_mutex_);
+    state_.swap(next);
   }
 
   // Equation scope for satisfying set `s` within `epoch` (its group's
@@ -444,9 +467,14 @@ class IssuanceService {
                      OnlineDecision* decision, RequestTrace* trace);
 
   OnlineValidatorOptions options_;
-  // The current epoch. Readers pin with a plain atomic load (shared_ptr
-  // refcount = reader count); Reconfigure is the only writer.
-  std::atomic<std::shared_ptr<const CatalogEpoch>> state_;
+  // The current epoch. A pin copies the shared_ptr under `state_mutex_`
+  // (a leaf lock held for the copy alone; the refcount = reader count);
+  // Reconfigure is the only writer. Not std::atomic<std::shared_ptr>:
+  // libstdc++ 12's load releases its internal lock bit with relaxed order
+  // after reading the pointer, a data race with the next store that
+  // ThreadSanitizer reports whenever issuance overlaps a reconfiguration.
+  mutable std::mutex state_mutex_;
+  std::shared_ptr<const CatalogEpoch> state_;  // Guarded by state_mutex_.
   // Serializes reconfigurations and guards dyn_grouping_. Lock order:
   // reconfig_mutex_ → shard mutexes (index order) → journal_mutex_.
   mutable std::mutex reconfig_mutex_;

@@ -109,6 +109,14 @@ void IssuanceMetrics::RecordBatch(uint64_t size) {
   batched_requests_.fetch_add(size, std::memory_order_relaxed);
 }
 
+void IssuanceMetrics::RecordReconfiguration(uint64_t records_migrated,
+                                            uint64_t shards_carried) {
+  reconfig_records_migrated_.fetch_add(records_migrated,
+                                       std::memory_order_relaxed);
+  reconfig_shards_carried_.fetch_add(shards_carried,
+                                     std::memory_order_relaxed);
+}
+
 IssuanceMetrics::Snapshot IssuanceMetrics::Snap() const {
   Snapshot snapshot;
   snapshot.accepted = accepted_.load(std::memory_order_relaxed);
@@ -121,6 +129,10 @@ IssuanceMetrics::Snapshot IssuanceMetrics::Snap() const {
   snapshot.batches = batches_.load(std::memory_order_relaxed);
   snapshot.batched_requests =
       batched_requests_.load(std::memory_order_relaxed);
+  snapshot.reconfig_records_migrated =
+      reconfig_records_migrated_.load(std::memory_order_relaxed);
+  snapshot.reconfig_shards_carried =
+      reconfig_shards_carried_.load(std::memory_order_relaxed);
   snapshot.latency = latency_.Snap();
   return snapshot;
 }

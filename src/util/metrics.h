@@ -59,6 +59,11 @@ class IssuanceMetrics {
   void RecordRejectedAggregate(uint64_t equations, int64_t nanos);
   // One TryIssueBatch call admitting `size` requests.
   void RecordBatch(uint64_t size);
+  // One catalog reconfiguration: `records_migrated` log records copied
+  // into rebuilt shards, `shards_carried` shards handed to the next epoch
+  // unchanged.
+  void RecordReconfiguration(uint64_t records_migrated,
+                             uint64_t shards_carried);
 
   struct Snapshot {
     uint64_t accepted = 0;
@@ -67,6 +72,8 @@ class IssuanceMetrics {
     uint64_t equations_checked = 0;
     uint64_t batches = 0;
     uint64_t batched_requests = 0;
+    uint64_t reconfig_records_migrated = 0;
+    uint64_t reconfig_shards_carried = 0;
     LatencyHistogram::Snapshot latency;
 
     uint64_t total_requests() const {
@@ -83,6 +90,8 @@ class IssuanceMetrics {
   std::atomic<uint64_t> equations_checked_{0};
   std::atomic<uint64_t> batches_{0};
   std::atomic<uint64_t> batched_requests_{0};
+  std::atomic<uint64_t> reconfig_records_migrated_{0};
+  std::atomic<uint64_t> reconfig_shards_carried_{0};
   LatencyHistogram latency_;
 };
 

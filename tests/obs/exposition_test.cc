@@ -32,6 +32,8 @@ ExpositionInput GoldenInput() {
   input.metrics.equations_checked = 37;
   input.metrics.batches = 2;
   input.metrics.batched_requests = 6;
+  input.metrics.reconfig_records_migrated = 40;
+  input.metrics.reconfig_shards_carried = 3;
   input.metrics.latency.counts[3] = 7;
   input.metrics.latency.counts[6] = 1;
   input.metrics.latency.total_count = 8;
@@ -67,6 +69,14 @@ TEST(ExpositionTest, GoldenPrometheusText) {
       "batches.\n"
       "# TYPE geolic_batched_requests_total counter\n"
       "geolic_batched_requests_total{service=\"geolic\"} 6\n"
+      "# HELP geolic_reconfig_records_migrated_total Log records copied "
+      "into rebuilt shards by catalog reconfigurations.\n"
+      "# TYPE geolic_reconfig_records_migrated_total counter\n"
+      "geolic_reconfig_records_migrated_total{service=\"geolic\"} 40\n"
+      "# HELP geolic_reconfig_shards_carried_total Shards handed unchanged "
+      "to the next catalog epoch.\n"
+      "# TYPE geolic_reconfig_shards_carried_total counter\n"
+      "geolic_reconfig_shards_carried_total{service=\"geolic\"} 3\n"
       "# HELP geolic_latency_clamped_negative_total Latency samples "
       "clamped at zero.\n"
       "# TYPE geolic_latency_clamped_negative_total counter\n"
@@ -117,6 +127,7 @@ TEST(ExpositionTest, GoldenJson) {
       "\"rejected_aggregate\":1,\"total\":8},"
       "\"equations_checked\":37,"
       "\"batches\":{\"count\":2,\"requests\":6},"
+      "\"reconfig\":{\"records_migrated\":40,\"shards_carried\":3},"
       "\"latency\":{\"count\":8,\"sum_nanos\":1234,\"clamped_negative\":1,"
       "\"p50_le_nanos\":16,\"p99_le_nanos\":16,"
       "\"buckets\":[{\"le\":2,\"count\":0},{\"le\":4,\"count\":0},"
@@ -281,6 +292,14 @@ TEST(ExpositionTest, GoldenPrometheusTextHostileName) {
       "batches.\n"
       "# TYPE geolic_batched_requests_total counter\n"
       "geolic_batched_requests_total{" + svc + "} 0\n"
+      "# HELP geolic_reconfig_records_migrated_total Log records copied "
+      "into rebuilt shards by catalog reconfigurations.\n"
+      "# TYPE geolic_reconfig_records_migrated_total counter\n"
+      "geolic_reconfig_records_migrated_total{" + svc + "} 0\n"
+      "# HELP geolic_reconfig_shards_carried_total Shards handed unchanged "
+      "to the next catalog epoch.\n"
+      "# TYPE geolic_reconfig_shards_carried_total counter\n"
+      "geolic_reconfig_shards_carried_total{" + svc + "} 0\n"
       "# HELP geolic_latency_clamped_negative_total Latency samples "
       "clamped at zero.\n"
       "# TYPE geolic_latency_clamped_negative_total counter\n"
@@ -338,6 +357,7 @@ TEST(ExpositionTest, GoldenJsonHostileName) {
       "\"rejected_aggregate\":0,\"total\":0},"
       "\"equations_checked\":0,"
       "\"batches\":{\"count\":0,\"requests\":0},"
+      "\"reconfig\":{\"records_migrated\":0,\"shards_carried\":0},"
       "\"latency\":{\"count\":0,\"sum_nanos\":0,\"clamped_negative\":0,"
       "\"p50_le_nanos\":0,\"p99_le_nanos\":0,\"buckets\":[]},"
       "\"net\":{\"connections\":{\"opened\":1,\"closed\":2},"

@@ -3,8 +3,10 @@
 // frames, and a journal whose first frame predates the checkpoint cut. In
 // every case the recovered state must equal a serial replay of the same
 // accepted requests on a fresh service, and RecoveryStats must account for
-// exactly where each record came from.
+// exactly where each record came from. A long acquire/revoke journal must
+// recover to the live state.
 
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -12,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "persist/journal.h"
+#include "persist/sync_file.h"
 #include "service/issuance_service.h"
 #include "test_util.h"
 
@@ -219,6 +222,74 @@ TEST(RecoveryEdgeTest, JournalFramesPredatingCheckpointCutAreSkippedNotDoubled) 
   const std::unique_ptr<IssuanceService> serial =
       SerialReplay(schema, licenses, kRequests);
   ExpectSameState(recovered->get(), serial.get());
+}
+
+// Acquire frames drop and renumber nothing, so replay leaves the
+// accumulated records alone for them; each revoke of the top index still
+// cascades the records issued under it. The recovered service (itself
+// cross-checked against a serial replay inside Recover) must equal the
+// live one.
+TEST(RecoveryEdgeTest, AcquireRevokeTopCyclesRecoverToLiveState) {
+  const ConstraintSchema schema = IntervalSchema(1);
+  LicenseCatalog licenses(&schema);
+  ASSERT_TRUE(
+      licenses.Add(MakeRedistribution(schema, "L1", {{0, 20}}, 1000000)).ok());
+  ASSERT_TRUE(
+      licenses.Add(MakeRedistribution(schema, "L2", {{10, 30}}, 1000000)).ok());
+  ASSERT_TRUE(
+      licenses.Add(MakeRedistribution(schema, "L3", {{100, 120}}, 1000000))
+          .ok());
+  Result<std::unique_ptr<IssuanceService>> service =
+      IssuanceService::Create(&licenses);
+  ASSERT_TRUE(service.ok());
+  auto file = std::make_unique<InMemorySyncFile>();
+  InMemorySyncFile* disk = file.get();
+  Result<std::unique_ptr<JournalWriter>> journal =
+      JournalWriter::Create(std::move(file));
+  ASSERT_TRUE(journal.ok());
+  ASSERT_TRUE((*service)->AttachJournal(std::move(*journal)).ok());
+
+  constexpr int kRecords = 5000;
+  constexpr int kCycles = 200;
+  for (int i = 0; i < kRecords; ++i) {
+    ASSERT_TRUE((*service)->TryIssue(RequestAt(schema, i)).ok());
+  }
+  for (int c = 0; c < kCycles; ++c) {
+    const std::string id = "X" + std::to_string(c);
+    const Result<int> top = (*service)->AcquireLicense(
+        MakeRedistribution(schema, id, {{300, 320}}, 10));
+    ASSERT_TRUE(top.ok());
+    const Result<OnlineDecision> under = (*service)->TryIssue(
+        MakeUsage(schema, "UX" + std::to_string(c), {{305, 315}}, 1));
+    ASSERT_TRUE(under.ok());
+    ASSERT_TRUE(under->accepted());
+    ASSERT_TRUE((*service)->TryIssue(RequestAt(schema, kRecords + c)).ok());
+    ASSERT_TRUE((*service)->RevokeLicense(*top).ok());
+  }
+  ASSERT_EQ((*service)->CollectLog().size(),
+            static_cast<size_t>(kRecords + kCycles));
+
+  const std::string journal_path =
+      ::testing::TempDir() + "edge_acquire_revoke_cycles.gjl";
+  {
+    std::ofstream out(journal_path, std::ios::binary | std::ios::trunc);
+    out.write(disk->contents().data(),
+              static_cast<std::streamsize>(disk->contents().size()));
+  }
+  RecoveryStats stats;
+  Result<std::unique_ptr<IssuanceService>> recovered =
+      IssuanceService::Recover(&licenses, {}, /*checkpoint_path=*/"",
+                               journal_path, &stats);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().message();
+  EXPECT_EQ(stats.reconfig_records_replayed,
+            static_cast<size_t>(2 * kCycles));
+  EXPECT_EQ(stats.journal_records_replayed,
+            static_cast<size_t>(kRecords + 4 * kCycles));
+  EXPECT_EQ(stats.recovered_catalog_epoch, static_cast<uint64_t>(2 * kCycles));
+  ASSERT_EQ((*recovered)->licenses().size(), (*service)->licenses().size());
+  ExpectSameState(recovered->get(), service->get());
+  EXPECT_EQ((*recovered)->CollectLog().size(),
+            static_cast<size_t>(kRecords + kCycles));
 }
 
 }  // namespace

@@ -121,6 +121,16 @@ TEST(IssuanceMetricsTest, ToStringSurvivesMaxMagnitudeCounters) {
   EXPECT_NE(text.find("p99"), std::string::npos) << text;
 }
 
+TEST(IssuanceMetricsTest, ReconfigurationCountersAccumulate) {
+  IssuanceMetrics metrics;
+  metrics.RecordReconfiguration(120, 0);
+  metrics.RecordReconfiguration(0, 3);
+  const IssuanceMetrics::Snapshot snap = metrics.Snap();
+  EXPECT_EQ(snap.reconfig_records_migrated, 120u);
+  EXPECT_EQ(snap.reconfig_shards_carried, 3u);
+  EXPECT_EQ(snap.total_requests(), 0u);  // Not a request outcome.
+}
+
 TEST(IssuanceMetricsTest, CountersAccumulate) {
   IssuanceMetrics metrics;
   metrics.RecordAccepted(3, 50);
