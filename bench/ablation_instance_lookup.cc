@@ -1,16 +1,18 @@
-// Ablation: instance-based validation backends — O(N) linear scan versus
-// R-tree candidate lookup with exact confirmation (DESIGN.md design
-// choice). At single-content scale (N ≤ 64) the linear scan usually wins;
-// the R-tree pays off on large raw catalogues, benchmarked here at the box
-// level up to 16384 entries.
+// Ablation: instance-based validation (paper Section 3.1) — the SoA column
+// scan behind SoaInstanceValidator versus the per-license
+// License::InstanceContains loop it must equal, on paper-sweep catalogues
+// from N = 8 up to the 1024-license cap, 256 queries each. Before timing,
+// every query's set is checked against the loop. The SoA rows run the
+// dispatched kernel tier; set GEOLIC_FORCE_SCALAR=1 for the scalar tier.
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <utility>
 #include <vector>
 
 #include "core/instance_validator.h"
-#include "geometry/rtree.h"
 #include "licensing/license_catalog.h"
+#include "util/check.h"
 #include "util/random.h"
 #include "workload/workload.h"
 
@@ -26,20 +28,46 @@ struct LicenseFixture {
     GEOLIC_CHECK(generated.ok());
     workload = std::make_unique<Workload>(*std::move(generated));
     Rng rng(42);
-    WorkloadGenerator drawer(config);
     for (int i = 0; i < 256; ++i) {
       const int parent = static_cast<int>(
           rng.UniformInt(0, workload->licenses->size() - 1));
-      queries.push_back(drawer.DrawUsageLicense(*workload, parent, &rng, i));
+      queries.push_back(
+          generator.DrawUsageLicense(*workload, parent, &rng, i));
     }
   }
   std::unique_ptr<Workload> workload;
   std::vector<License> queries;
 };
 
-void BM_LinearInstanceLookup(benchmark::State& state) {
+LicenseSet InstanceContainsLoop(const LicenseCatalog& licenses,
+                                const License& issued) {
+  LicenseSet set;
+  for (int i = 0; i < licenses.size(); ++i) {
+    if (licenses.at(i).InstanceContains(issued)) {
+      set |= LicenseSet::Singleton(i);
+    }
+  }
+  return set;
+}
+
+void BM_InstanceContainsLoop(benchmark::State& state) {
   const LicenseFixture fixture(static_cast<int>(state.range(0)));
-  const LinearInstanceValidator validator(fixture.workload->licenses.get());
+  const LicenseCatalog& licenses = *fixture.workload->licenses;
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(InstanceContainsLoop(
+        licenses, fixture.queries[i % fixture.queries.size()]));
+    ++i;
+  }
+}
+
+void BM_SoaInstanceLookup(benchmark::State& state) {
+  const LicenseFixture fixture(static_cast<int>(state.range(0)));
+  const SoaInstanceValidator validator(fixture.workload->licenses.get());
+  for (const License& query : fixture.queries) {
+    GEOLIC_CHECK(validator.SatisfyingSet(query) ==
+                 InstanceContainsLoop(*fixture.workload->licenses, query));
+  }
   size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
@@ -47,80 +75,11 @@ void BM_LinearInstanceLookup(benchmark::State& state) {
     ++i;
   }
 }
-BENCHMARK(BM_LinearInstanceLookup)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
 
-void BM_RtreeInstanceLookup(benchmark::State& state) {
-  const LicenseFixture fixture(static_cast<int>(state.range(0)));
-  Result<RtreeInstanceValidator> validator =
-      RtreeInstanceValidator::Build(fixture.workload->licenses.get());
-  GEOLIC_CHECK(validator.ok());
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(validator->SatisfyingSet(
-        fixture.queries[i % fixture.queries.size()]));
-    ++i;
-  }
-}
-BENCHMARK(BM_RtreeInstanceLookup)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
-
-// Raw catalogue scale: thousands of boxes, point-ish queries.
-struct BoxFixture {
-  explicit BoxFixture(int n) : tree(4) {
-    Rng rng(7);
-    for (int i = 0; i < n; ++i) {
-      IntervalBox box;
-      for (int d = 0; d < 4; ++d) {
-        const int64_t lo = rng.UniformInt(0, 999900);
-        box.dims.push_back(Interval(lo, lo + rng.UniformInt(10, 5000)));
-      }
-      boxes.push_back(box);
-      GEOLIC_CHECK(tree.Insert(box, i).ok());
-    }
-    for (int q = 0; q < 256; ++q) {
-      IntervalBox box;
-      for (int d = 0; d < 4; ++d) {
-        const int64_t lo = rng.UniformInt(0, 999990);
-        box.dims.push_back(Interval(lo, lo + rng.UniformInt(1, 100)));
-      }
-      queries.push_back(box);
-    }
-  }
-  Rtree tree;
-  std::vector<IntervalBox> boxes;
-  std::vector<IntervalBox> queries;
-};
-
-void BM_LinearBoxContaining(benchmark::State& state) {
-  const BoxFixture fixture(static_cast<int>(state.range(0)));
-  size_t i = 0;
-  for (auto _ : state) {
-    const IntervalBox& query = fixture.queries[i % fixture.queries.size()];
-    std::vector<int64_t> hits;
-    for (size_t b = 0; b < fixture.boxes.size(); ++b) {
-      if (fixture.boxes[b].Contains(query)) {
-        hits.push_back(static_cast<int64_t>(b));
-      }
-    }
-    benchmark::DoNotOptimize(hits);
-    ++i;
-  }
-}
-BENCHMARK(BM_LinearBoxContaining)
-    ->Arg(256)
-    ->Arg(1024)
-    ->Arg(4096)
-    ->Arg(16384);
-
-void BM_RtreeBoxContaining(benchmark::State& state) {
-  const BoxFixture fixture(static_cast<int>(state.range(0)));
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fixture.tree.FindContaining(
-        fixture.queries[i % fixture.queries.size()]));
-    ++i;
-  }
-}
-BENCHMARK(BM_RtreeBoxContaining)->Arg(256)->Arg(1024)->Arg(4096)->Arg(16384);
+BENCHMARK(BM_InstanceContainsLoop)
+    ->Arg(8)->Arg(32)->Arg(64)->Arg(256)->Arg(1024);
+BENCHMARK(BM_SoaInstanceLookup)
+    ->Arg(8)->Arg(32)->Arg(64)->Arg(256)->Arg(1024);
 
 }  // namespace
 }  // namespace geolic

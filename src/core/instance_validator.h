@@ -1,14 +1,9 @@
 #ifndef GEOLIC_CORE_INSTANCE_VALIDATOR_H_
 #define GEOLIC_CORE_INSTANCE_VALIDATOR_H_
 
-#include <memory>
-#include <vector>
-
-#include "geometry/rtree.h"
 #include "geometry/soa_rects.h"
 #include "licensing/license_catalog.h"
 #include "util/license_set.h"
-#include "util/status.h"
 
 namespace geolic {
 
@@ -18,59 +13,25 @@ namespace geolic {
 // (paper Section 3.1). S is what gets appended to the log; an empty S means
 // the license fails instance-based validation outright (the paper's L_U^2
 // in figure 2).
-class InstanceValidator {
- public:
-  virtual ~InstanceValidator() = default;
-
-  // Mask of redistribution licenses containing `issued`.
-  virtual LicenseSet SatisfyingSet(const License& issued) const = 0;
-};
-
-// O(N) scan over the license set. For a single content's N ≤ 64 licenses
-// this is typically fastest.
-class LinearInstanceValidator : public InstanceValidator {
- public:
-  // `licenses` must outlive the validator.
-  explicit LinearInstanceValidator(const LicenseCatalog* licenses);
-
-  LicenseSet SatisfyingSet(const License& issued) const override;
-
- private:
-  const LicenseCatalog* licenses_;
-};
-
-// SoA column-sweep scan (geometry/soa_rects.h): the per-license rect loop
-// becomes contiguous per-dimension sweeps through the runtime-dispatched
-// SIMD kernels, with one scalar content/permission compare covering the
-// whole catalog (uniform by construction). Bit-identical results to
-// LinearInstanceValidator on every input.
-class SoaInstanceValidator : public InstanceValidator {
+//
+// The catalog's rects are compiled once into an SoA column layout
+// (geometry/soa_rects.h), so a lookup is contiguous per-dimension sweeps
+// through the runtime-dispatched SIMD kernels plus one scalar
+// content/permission compare covering the whole catalog (uniform by
+// construction). The result is bit-identical to a per-license
+// License::InstanceContains loop on every input. The compile is a snapshot:
+// licenses added to the catalog afterwards are not seen.
+class SoaInstanceValidator {
  public:
   // `licenses` must outlive the validator.
   explicit SoaInstanceValidator(const LicenseCatalog* licenses);
 
-  LicenseSet SatisfyingSet(const License& issued) const override;
+  // Mask of redistribution licenses containing `issued`.
+  LicenseSet SatisfyingSet(const License& issued) const;
 
  private:
   const LicenseCatalog* licenses_;
   SoaRects rects_;
-};
-
-// R-tree-backed lookup: candidate licenses come from a containment query on
-// interval bounding boxes, then exact hyper-rectangle tests confirm. Pays
-// off for large catalogues; ablated against the linear scan in bench/.
-class RtreeInstanceValidator : public InstanceValidator {
- public:
-  // Builds the index over `licenses` (which must outlive the validator).
-  static Result<RtreeInstanceValidator> Build(const LicenseCatalog* licenses);
-
-  LicenseSet SatisfyingSet(const License& issued) const override;
-
- private:
-  RtreeInstanceValidator(const LicenseCatalog* licenses, Rtree index);
-
-  const LicenseCatalog* licenses_;
-  Rtree index_;
 };
 
 }  // namespace geolic

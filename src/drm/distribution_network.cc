@@ -193,7 +193,7 @@ Result<LicenseSet> DistributionNetwork::IssueUnchecked(
     return Status::FailedPrecondition("issuer holds no licenses");
   }
   (void)recipient;  // Rogue issues bypass recipient checks by design.
-  const LinearInstanceValidator instance_validator(state->received.get());
+  const SoaInstanceValidator instance_validator(state->received.get());
   const LicenseSet set = instance_validator.SatisfyingSet(license);
   if (set.Empty()) {
     return Status::InvalidArgument(

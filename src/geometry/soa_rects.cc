@@ -73,7 +73,6 @@ SoaRects SoaRects::Build(std::span<const HyperRect> rects) {
   soa.hi_.assign(dims * soa.padded_, kFailHi);
   soa.cat_.assign(dims * soa.padded_, 0);
   soa.ordered_.assign(dims * soa.words_, 0);
-  soa.nonempty_ordered_.assign(dims * soa.words_, 0);
   soa.category_.assign(dims * soa.words_, 0);
   soa.regular_.assign(soa.words_, 0);
 
@@ -89,7 +88,6 @@ SoaRects SoaRects::Build(std::span<const HyperRect> rects) {
       const ConstraintRange& cell = rect.dim(d);
       const size_t col = soa.Col(d) + j;
       uint64_t* ordered_row = soa.ordered_.data() + soa.MaskRow(d);
-      uint64_t* nonempty_row = soa.nonempty_ordered_.data() + soa.MaskRow(d);
       uint64_t* category_row = soa.category_.data() + soa.MaskRow(d);
       if (cell.is_categories()) {
         SetBit(category_row, j);
@@ -101,7 +99,6 @@ SoaRects SoaRects::Build(std::span<const HyperRect> rects) {
         continue;  // Fail sentinel stays; empty passes only empty queries,
                    // which skip the column sweep.
       }
-      SetBit(nonempty_row, j);
       const Interval bounding = cell.BoundingInterval();
       soa.lo_[col] = bounding.lo();
       soa.hi_[col] = bounding.hi();
@@ -154,61 +151,6 @@ void SoaRects::ContainingWithKernels(const simd::Kernels& kernels,
   }
   for (const auto& [slot, rect] : irregular_) {
     if (rect.Contains(query)) {
-      SetBit(out, slot);
-    }
-  }
-}
-
-void SoaRects::OverlappingWithKernels(const simd::Kernels& kernels,
-                                      const HyperRect& query,
-                                      uint64_t* out) const {
-  std::copy_n(regular_.data(), words_, out);
-  if (query.dimensions() != dims_) {
-    std::fill_n(out, words_, 0);
-  } else {
-    for (int d = 0; d < dims_ && !AllZero(out, words_); ++d) {
-      const ConstraintRange& qd = query.dim(d);
-      if (qd.empty()) {
-        std::fill_n(out, words_, 0);  // Nothing overlaps an empty range.
-        break;
-      }
-      if (qd.is_categories()) {
-        AndWords(out, category_.data() + MaskRow(d), words_);
-        kernels.mask_intersects(cat_.data() + Col(d), n_,
-                                qd.categories().mask(), out);
-        continue;
-      }
-      // Empty cells must fail here, and their (INT64_MAX, INT64_MIN)
-      // sentinel would pass a full-range query — mask them out up front.
-      AndWords(out, nonempty_ordered_.data() + MaskRow(d), words_);
-      if (qd.is_interval()) {
-        const Interval& piece = qd.interval();
-        kernels.interval_overlap(lo_.data() + Col(d), hi_.data() + Col(d), n_,
-                                 piece.lo(), piece.hi(), out);
-        continue;
-      }
-      // Overlap distributes over a union: OR of the per-piece sweeps —
-      // exact for single-piece cells.
-      uint64_t dim_bits[kMaxLicenseWords] = {};
-      uint64_t piece_bits[kMaxLicenseWords];
-      for (const Interval& piece : qd.multi_interval().pieces()) {
-        std::fill_n(piece_bits, words_, ~uint64_t{0});
-        kernels.interval_overlap(lo_.data() + Col(d), hi_.data() + Col(d), n_,
-                                 piece.lo(), piece.hi(), piece_bits);
-        for (size_t w = 0; w < words_; ++w) {
-          dim_bits[w] |= piece_bits[w];
-        }
-      }
-      AndWords(out, dim_bits, words_);
-    }
-    for (const auto& [slot, rect] : exact_) {
-      if (TestBit(out, slot) && !rect.Overlaps(query)) {
-        out[slot / 64] &= ~(uint64_t{1} << (slot % 64));
-      }
-    }
-  }
-  for (const auto& [slot, rect] : irregular_) {
-    if (rect.Overlaps(query)) {
       SetBit(out, slot);
     }
   }

@@ -12,7 +12,7 @@
 namespace geolic {
 
 // Structure-of-arrays compile of N hyper-rectangles, built once (shard
-// compile time) and queried per request: the instance containment/overlap
+// compile time) and queried per request: the instance containment
 // fast-reject runs as contiguous per-dimension column sweeps through the
 // runtime-dispatched SIMD kernels (util/simd_kernels.h) instead of N
 // virtual-free but pointer-chasing HyperRect calls.
@@ -22,20 +22,19 @@ namespace geolic {
 //             interval; empty ordered cells and category cells store the
 //             fail-closed sentinel (INT64_MAX, INT64_MIN).
 //   cat_      uint64 category masks; 0 (fail-closed) for ordered cells.
-// plus three per-dimension word masks classifying the cells: ordered_,
-// nonempty_ordered_ and category_. A query dimension of the wrong kind
-// clears the mismatched rects in one AND — the kind-mismatch rule of
-// ConstraintRange (category never relates to ordered, not even empty).
+// plus two per-dimension word masks classifying the cells: ordered_ and
+// category_. A query dimension of the wrong kind clears the mismatched
+// rects in one AND — the kind-mismatch rule of ConstraintRange (category
+// never relates to ordered, not even empty).
 //
 // Exactness. The column test is exact for every cell except multi-piece
 // ordered cells (a bounding interval over-approximates a union with gaps);
 // those rects are listed in exact_ and re-checked with the scalar
 // predicate only when they survive the column sweep. Multi-piece *query*
 // dims are exact by construction: containment of a union reduces to its
-// bounding interval, overlap is the OR of the per-piece sweeps. Rects
-// whose dimensionality differs from the build's majority are kept aside
-// and always checked scalar. Containing/Overlapping are therefore
-// bit-identical to a HyperRect::Contains/Overlaps loop on every input —
+// bounding interval. Rects whose dimensionality differs from the build's
+// majority are kept aside and always checked scalar. Containing is
+// therefore bit-identical to a HyperRect::Contains loop on every input —
 // the property the fuzz equivalence test (tests/geometry/soa_rects_test)
 // pins across all kernel tiers.
 class SoaRects {
@@ -60,17 +59,9 @@ class SoaRects {
     ContainingWithKernels(simd::ActiveKernels(), query, out);
   }
 
-  // Sets bit j of `out` iff rects[j].Overlaps(query) — the paper's
-  // overlapping-licenses predicate, exactly.
-  void Overlapping(const HyperRect& query, uint64_t* out) const {
-    OverlappingWithKernels(simd::ActiveKernels(), query, out);
-  }
-
-  // Explicit-tier variants for the equivalence tests and ablation A/B rows.
+  // Explicit-tier variant for the equivalence tests.
   void ContainingWithKernels(const simd::Kernels& kernels,
                              const HyperRect& query, uint64_t* out) const;
-  void OverlappingWithKernels(const simd::Kernels& kernels,
-                              const HyperRect& query, uint64_t* out) const;
 
  private:
   // Column base offset of dimension d (columns share one stride).
@@ -85,9 +76,8 @@ class SoaRects {
   std::vector<int64_t> lo_;        // dims_ × padded_.
   std::vector<int64_t> hi_;        // dims_ × padded_.
   std::vector<uint64_t> cat_;      // dims_ × padded_.
-  std::vector<uint64_t> ordered_;           // dims_ × words_.
-  std::vector<uint64_t> nonempty_ordered_;  // dims_ × words_.
-  std::vector<uint64_t> category_;          // dims_ × words_.
+  std::vector<uint64_t> ordered_;   // dims_ × words_.
+  std::vector<uint64_t> category_;  // dims_ × words_.
   std::vector<uint64_t> regular_;  // words_: rects with dims() == dims_.
 
   // Rects needing the scalar confirm after the column sweep (some

@@ -5,6 +5,24 @@
 #include <utility>
 
 namespace geolic {
+namespace {
+
+// The seqlock's payload ordering fences. GCC's -Wtsan flags fences because
+// TSan cannot model fence-based synchronization of *non-atomic* accesses.
+// Every slot field is itself an atomic, so TSan's race analysis is
+// unaffected; the fences only order the version word against the payload.
+inline void SeqlockFence(std::memory_order order) {
+#if defined(__GNUC__) && !defined(__clang__) && defined(__SANITIZE_THREAD__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wtsan"
+#endif
+  std::atomic_thread_fence(order);
+#if defined(__GNUC__) && !defined(__clang__) && defined(__SANITIZE_THREAD__)
+#pragma GCC diagnostic pop
+#endif
+}
+
+}  // namespace
 
 const char* TraceStageName(TraceStage stage) {
   switch (stage) {
@@ -72,11 +90,22 @@ void Tracer::Record(const TraceSpan& span) {
   profile_.Record(span.stage, span.duration_nanos);
   const uint64_t ticket = next_ticket_.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = slots_[ticket & slot_mask_];
-  // Seqlock write: odd version while the payload stores are in flight, so
-  // a concurrent CollectSpans skips the slot instead of reading a torn
-  // span. (Two writers a full ring-wrap apart can interleave on one slot;
-  // their distinct version values make the reader skip that slot too.)
-  slot.version.store(2 * ticket + 1, std::memory_order_release);
+  // Seqlock write, with the slot claimed by one writer at a time: the CAS
+  // from a stable (even) version to our odd one fails when another writer
+  // holds the slot — one a ring wrap apart, preempted mid-store — and the
+  // span is dropped, as it is when a newer ticket's span already sits
+  // there. Without the claim, the stale writer's payload stores could land
+  // after the newer writer published its even version, and a reader would
+  // accept the mixed span. A concurrent CollectSpans skips the slot while
+  // its version is odd.
+  uint64_t stable = slot.version.load(std::memory_order_relaxed);
+  if ((stable & 1) != 0 || stable > 2 * ticket ||
+      !slot.version.compare_exchange_strong(stable, 2 * ticket + 1,
+                                            std::memory_order_acquire,
+                                            std::memory_order_relaxed)) {
+    return;
+  }
+  SeqlockFence(std::memory_order_release);  // Odd version before payload.
   slot.request_id.store(span.request_id, std::memory_order_relaxed);
   slot.start_nanos.store(span.start_nanos, std::memory_order_relaxed);
   slot.duration_nanos.store(span.duration_nanos, std::memory_order_relaxed);
@@ -132,18 +161,7 @@ std::vector<TraceSpan> Tracer::CollectSpans() const {
     span.duration_nanos = slot.duration_nanos.load(std::memory_order_relaxed);
     const uint64_t stage_outcome =
         slot.stage_outcome.load(std::memory_order_relaxed);
-    // GCC's -Wtsan flags fences because TSan cannot model fence-based
-    // synchronization of *non-atomic* accesses. Every field read above is
-    // itself an atomic load, so TSan's race analysis is unaffected; the
-    // fence only orders the version recheck after the field loads.
-#if defined(__GNUC__) && !defined(__clang__) && defined(__SANITIZE_THREAD__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wtsan"
-#endif
-    std::atomic_thread_fence(std::memory_order_acquire);
-#if defined(__GNUC__) && !defined(__clang__) && defined(__SANITIZE_THREAD__)
-#pragma GCC diagnostic pop
-#endif
+    SeqlockFence(std::memory_order_acquire);  // Payload before recheck.
     if (slot.version.load(std::memory_order_relaxed) != v1) {
       continue;  // A writer lapped us mid-read; drop the torn span.
     }

@@ -146,12 +146,15 @@ struct TracerOptions {
 
 // Thread-safe, low-overhead span sink: a fixed-size seqlock ring of span
 // records plus per-stage latency histograms and a bounded slow-request
-// buffer. Recording a span is an atomic ticket fetch-add, five relaxed
-// stores, and two histogram RMWs — no locks on the hot path.
+// buffer. Recording a span is an atomic ticket fetch-add, a slot-claiming
+// CAS, five relaxed stores, and two histogram RMWs — no locks on the hot
+// path.
 //
 // The ring is diagnostic, not transactional: a reader that races a writer
-// on the same slot detects the torn slot via its version word and skips it,
-// and a writer lapped by a full ring wrap overwrites the oldest span.
+// on the same slot detects the torn slot via its version word and skips it;
+// a writer that finds its slot still held by another writer (one a ring
+// wrap ahead or behind) drops its span rather than wait; and once the ring
+// wraps, new spans overwrite the oldest.
 class Tracer {
  public:
   explicit Tracer(const TracerOptions& options = {});
@@ -210,9 +213,10 @@ class Tracer {
   const TracerOptions& options() const { return options_; }
 
  private:
-  // Seqlock slot: version is odd while a writer is mid-store; an even
-  // version 2t+2 marks the stable payload of ticket t. Every field is an
-  // atomic, so a torn slot yields a skipped read, never a data race.
+  // Seqlock slot: version is odd (2t+1) while the writer of ticket t holds
+  // the slot; an even version 2t+2 marks the stable payload of ticket t.
+  // Every field is an atomic, so a torn slot yields a skipped read, never
+  // a data race.
   struct Slot {
     std::atomic<uint64_t> version{0};
     std::atomic<uint64_t> request_id{0};

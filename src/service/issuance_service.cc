@@ -43,9 +43,9 @@ class RequestTimer {
   Stopwatch real_;
 };
 
-// First u64 of a v3 service-checkpoint payload. A legacy payload starts
-// with the covered journal sequence, which can never be 2^64-1, so the
-// sentinel cleanly separates the two layouts.
+// Leading words of a service-checkpoint payload: a sentinel no journal
+// sequence can equal, then the layout version. Recovery rejects any other
+// pair.
 constexpr uint64_t kCheckpointV3Sentinel = ~uint64_t{0};
 constexpr uint32_t kCheckpointV3Version = 3;
 
@@ -969,11 +969,6 @@ Result<ValidationTree> IssuanceService::CollectTree() const {
   return merged;
 }
 
-Result<FlatValidationTree> IssuanceService::CollectFlatTree() const {
-  GEOLIC_ASSIGN_OR_RETURN(const ValidationTree merged, CollectTree());
-  return FlatValidationTree::Compile(merged);
-}
-
 Status IssuanceService::AttachJournal(std::unique_ptr<JournalWriter> journal) {
   if (journal == nullptr) {
     return Status::InvalidArgument("cannot attach a null journal");
@@ -1100,29 +1095,19 @@ Result<std::unique_ptr<IssuanceService>> IssuanceService::Recover(
         ReadCheckpointFile(CheckpointKind::kServiceSnapshot,
                            checkpoint_path));
     std::istringstream body(payload);
-    uint64_t first = 0;
-    body.read(reinterpret_cast<char*>(&first), sizeof(first));
+    uint64_t sentinel = 0;
+    uint32_t version = 0;
+    body.read(reinterpret_cast<char*>(&sentinel), sizeof(sentinel));
+    body.read(reinterpret_cast<char*>(&version), sizeof(version));
+    body.read(reinterpret_cast<char*>(&ckpt_epoch), sizeof(ckpt_epoch));
+    body.read(reinterpret_cast<char*>(&covered_seq), sizeof(covered_seq));
     if (!body) {
       return Status::ParseError("service checkpoint payload truncated: " +
                                 checkpoint_path);
     }
-    if (first == kCheckpointV3Sentinel) {
-      uint32_t version = 0;
-      body.read(reinterpret_cast<char*>(&version), sizeof(version));
-      body.read(reinterpret_cast<char*>(&ckpt_epoch), sizeof(ckpt_epoch));
-      body.read(reinterpret_cast<char*>(&covered_seq), sizeof(covered_seq));
-      if (!body) {
-        return Status::ParseError("service checkpoint payload truncated: " +
-                                  checkpoint_path);
-      }
-      if (version != kCheckpointV3Version) {
-        return Status::ParseError(
-            "unsupported service checkpoint payload version");
-      }
-    } else {
-      // Legacy payload: the first word is the covered sequence; written
-      // before reconfigurations existed, so it covers epoch 0.
-      covered_seq = first;
+    if (sentinel != kCheckpointV3Sentinel || version != kCheckpointV3Version) {
+      return Status::ParseError(
+          "unsupported service checkpoint payload version");
     }
     GEOLIC_ASSIGN_OR_RETURN(LogStore records,
                             LogStore::DeserializeRecords(&body));

@@ -15,7 +15,6 @@
 #include "obs/exposition.h"
 #include "obs/trace.h"
 #include "persist/journal.h"
-#include "validation/flat_tree.h"
 #include "validation/log_store.h"
 #include "validation/validation_report.h"
 #include "validation/validation_tree.h"
@@ -284,12 +283,6 @@ class IssuanceService {
   // Snapshot of the combined validation tree (the union of the shard
   // trees; shards share no license indexes, so this is a plain merge).
   Result<ValidationTree> CollectTree() const;
-
-  // Snapshot compiled straight into the offline hot-path form: the shards
-  // keep their mutable pointer trees for admission, but offline audits of
-  // a running service should query this flat, pruning-aware arena
-  // (validation/flat_tree.h) instead of walking pointers.
-  Result<FlatValidationTree> CollectFlatTree() const;
 
   // Turns on write-ahead journaling: every subsequently accepted issuance
   // is framed and appended to `journal` before the shard's in-memory state

@@ -21,6 +21,7 @@
 #include "sim/sim_environment.h"
 #include "sim/sim_scheduler.h"
 #include "util/check.h"
+#include "validation/flat_tree.h"
 
 namespace geolic {
 namespace {
@@ -719,7 +720,10 @@ void FinalChecks(SimState* state, const SimConfig& config,
     }
   }
   if (state->failure.empty()) {
-    const Result<FlatValidationTree> flat = state->service->CollectFlatTree();
+    const Result<ValidationTree> tree = state->service->CollectTree();
+    const Result<FlatValidationTree> flat =
+        tree.ok() ? FlatValidationTree::Compile(*tree)
+                  : Result<FlatValidationTree>(tree.status());
     if (!flat.ok()) {
       Fail(state, std::string("flat tree compile failed: ") +
                       flat.status().message());

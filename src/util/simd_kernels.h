@@ -7,7 +7,7 @@
 namespace geolic {
 namespace simd {
 
-// The data-parallel inner loops of the instance fast-reject over the SoA
+// The data-parallel inner loops of the instance containment scan over the SoA
 // license geometry (geometry/soa_rects.h), factored into per-ISA kernels
 // behind function pointers — the call granularity is one whole column
 // scan, so the indirection amortizes. (The flat tree's batched equation
@@ -34,20 +34,10 @@ struct Kernels {
   void (*interval_contain)(const int64_t* lo, const int64_t* hi, size_t n,
                            int64_t q_lo, int64_t q_hi, uint64_t* inout);
 
-  // Same layout for closed-interval overlap: lo[j] <= q_hi and
-  // q_lo <= hi[j]. Callers must pre-mask empty item cells — the
-  // (INT64_MAX, INT64_MIN) sentinel would pass against a full-range query.
-  void (*interval_overlap)(const int64_t* lo, const int64_t* hi, size_t n,
-                           int64_t q_lo, int64_t q_hi, uint64_t* inout);
-
   // Bit j survives only when q_mask ⊆ masks[j] ((q_mask & ~masks[j]) == 0)
   // — the category-set containment test.
   void (*mask_superset)(const uint64_t* masks, size_t n, uint64_t q_mask,
                         uint64_t* inout);
-
-  // Bit j survives only when q_mask ∩ masks[j] ≠ ∅ — category overlap.
-  void (*mask_intersects)(const uint64_t* masks, size_t n, uint64_t q_mask,
-                          uint64_t* inout);
 
   // "scalar", "sse4.2" or "avx2".
   const char* name;

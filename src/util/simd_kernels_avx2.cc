@@ -41,27 +41,6 @@ void IntervalContainAvx2(const int64_t* lo, const int64_t* hi, size_t n,
   }
 }
 
-void IntervalOverlapAvx2(const int64_t* lo, const int64_t* hi, size_t n,
-                         int64_t q_lo, int64_t q_hi, uint64_t* inout) {
-  const __m256i v_qlo = _mm256_set1_epi64x(q_lo);
-  const __m256i v_qhi = _mm256_set1_epi64x(q_hi);
-  for (size_t base = 0; base < n; base += 64) {
-    const size_t limit = n - base < 64 ? n - base : 64;
-    uint64_t bits = 0;
-    for (size_t j = 0; j < limit; j += 4) {
-      const __m256i v_lo = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(lo + base + j));
-      const __m256i v_hi = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(hi + base + j));
-      // Overlap fails iff lo[j] > q_hi or q_lo > hi[j].
-      const __m256i fail = _mm256_or_si256(_mm256_cmpgt_epi64(v_lo, v_qhi),
-                                           _mm256_cmpgt_epi64(v_qlo, v_hi));
-      bits |= PassBits4(fail, j);
-    }
-    inout[base / 64] &= bits;
-  }
-}
-
 void MaskSupersetAvx2(const uint64_t* masks, size_t n, uint64_t q_mask,
                       uint64_t* inout) {
   const __m256i v_q = _mm256_set1_epi64x(static_cast<int64_t>(q_mask));
@@ -83,31 +62,11 @@ void MaskSupersetAvx2(const uint64_t* masks, size_t n, uint64_t q_mask,
   }
 }
 
-void MaskIntersectsAvx2(const uint64_t* masks, size_t n, uint64_t q_mask,
-                        uint64_t* inout) {
-  const __m256i v_q = _mm256_set1_epi64x(static_cast<int64_t>(q_mask));
-  const __m256i v_zero = _mm256_setzero_si256();
-  for (size_t base = 0; base < n; base += 64) {
-    const size_t limit = n - base < 64 ? n - base : 64;
-    uint64_t bits = 0;
-    for (size_t j = 0; j < limit; j += 4) {
-      const __m256i v_m = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(masks + base + j));
-      const __m256i fail =
-          _mm256_cmpeq_epi64(_mm256_and_si256(v_m, v_q), v_zero);
-      bits |= PassBits4(fail, j);
-    }
-    inout[base / 64] &= bits;
-  }
-}
-
 }  // namespace
 
 const Kernels& Avx2Kernels() {
-  static const Kernels kernels = {
-      IntervalContainAvx2, IntervalOverlapAvx2, MaskSupersetAvx2,
-      MaskIntersectsAvx2,  "avx2",
-  };
+  static const Kernels kernels = {IntervalContainAvx2, MaskSupersetAvx2,
+                                  "avx2"};
   return kernels;
 }
 

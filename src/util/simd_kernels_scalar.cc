@@ -23,21 +23,6 @@ void IntervalContainScalar(const int64_t* lo, const int64_t* hi, size_t n,
   }
 }
 
-void IntervalOverlapScalar(const int64_t* lo, const int64_t* hi, size_t n,
-                           int64_t q_lo, int64_t q_hi, uint64_t* inout) {
-  for (size_t base = 0; base < n; base += 64) {
-    uint64_t bits = 0;
-    const size_t limit = n - base < 64 ? n - base : 64;
-    for (size_t j = 0; j < limit; ++j) {
-      const size_t item = base + j;
-      if (lo[item] <= q_hi && q_lo <= hi[item]) {
-        bits |= uint64_t{1} << j;
-      }
-    }
-    inout[base / 64] &= bits;
-  }
-}
-
 void MaskSupersetScalar(const uint64_t* masks, size_t n, uint64_t q_mask,
                         uint64_t* inout) {
   for (size_t base = 0; base < n; base += 64) {
@@ -52,27 +37,11 @@ void MaskSupersetScalar(const uint64_t* masks, size_t n, uint64_t q_mask,
   }
 }
 
-void MaskIntersectsScalar(const uint64_t* masks, size_t n, uint64_t q_mask,
-                          uint64_t* inout) {
-  for (size_t base = 0; base < n; base += 64) {
-    uint64_t bits = 0;
-    const size_t limit = n - base < 64 ? n - base : 64;
-    for (size_t j = 0; j < limit; ++j) {
-      if ((q_mask & masks[base + j]) != 0) {
-        bits |= uint64_t{1} << j;
-      }
-    }
-    inout[base / 64] &= bits;
-  }
-}
-
 }  // namespace
 
 const Kernels& ScalarKernels() {
-  static const Kernels kernels = {
-      IntervalContainScalar, IntervalOverlapScalar, MaskSupersetScalar,
-      MaskIntersectsScalar,  "scalar",
-  };
+  static const Kernels kernels = {IntervalContainScalar, MaskSupersetScalar,
+                                  "scalar"};
   return kernels;
 }
 

@@ -8,11 +8,12 @@
 namespace geolic {
 namespace {
 
+using testing::InstanceContainsLoop;
 using testing::IntervalSchema;
 using testing::MakeRedistribution;
 using testing::MakeUsage;
 
-TEST(LinearInstanceValidatorTest, FindsAllContainingLicenses) {
+TEST(SoaInstanceValidatorTest, FindsAllContainingLicenses) {
   const ConstraintSchema schema = IntervalSchema(2);
   LicenseCatalog set(&schema);
   ASSERT_TRUE(
@@ -22,7 +23,7 @@ TEST(LinearInstanceValidatorTest, FindsAllContainingLicenses) {
   ASSERT_TRUE(
       set.Add(MakeRedistribution(schema, "LD3", {{50, 60}, {50, 60}}, 1))
           .ok());
-  const LinearInstanceValidator validator(&set);
+  const SoaInstanceValidator validator(&set);
 
   // Inside LD1 and LD2.
   EXPECT_EQ(validator.SatisfyingSet(
@@ -42,28 +43,44 @@ TEST(LinearInstanceValidatorTest, FindsAllContainingLicenses) {
             testing::Mask(0b100));
 }
 
-TEST(RtreeInstanceValidatorTest, BuildRejectsEmptySet) {
+TEST(SoaInstanceValidatorTest, EmptyCatalogSatisfiesNothing) {
   const ConstraintSchema schema = IntervalSchema(1);
   LicenseCatalog set(&schema);
-  EXPECT_FALSE(RtreeInstanceValidator::Build(&set).ok());
+  const SoaInstanceValidator validator(&set);
+  EXPECT_TRUE(
+      validator.SatisfyingSet(MakeUsage(schema, "LU", {{1, 2}}, 1)).Empty());
 }
 
-TEST(RtreeInstanceValidatorTest, MatchesLinearOnSmallSet) {
-  const ConstraintSchema schema = IntervalSchema(2);
+TEST(SoaInstanceValidatorTest, OtherContentOrPermissionSatisfiesNothing) {
+  // The catalog-wide content/permission compare must reject exactly what
+  // the per-license InstanceContains prechecks reject.
+  const ConstraintSchema schema = IntervalSchema(1);
   LicenseCatalog set(&schema);
   ASSERT_TRUE(
-      set.Add(MakeRedistribution(schema, "LD1", {{0, 20}, {0, 20}}, 1)).ok());
-  ASSERT_TRUE(
-      set.Add(MakeRedistribution(schema, "LD2", {{5, 25}, {5, 25}}, 1)).ok());
-  const LinearInstanceValidator linear(&set);
-  const Result<RtreeInstanceValidator> rtree =
-      RtreeInstanceValidator::Build(&set);
-  ASSERT_TRUE(rtree.ok());
-  const License usage = MakeUsage(schema, "LU", {{6, 10}, {6, 10}}, 1);
-  EXPECT_EQ(rtree->SatisfyingSet(usage), linear.SatisfyingSet(usage));
+      set.Add(MakeRedistribution(schema, "LD1", {{0, 100}}, 1)).ok());
+  const SoaInstanceValidator validator(&set);
+  auto usage = [&](const std::string& content, Permission permission) {
+    LicenseBuilder builder(&schema);
+    builder.SetId("LU")
+        .SetContentKey(content)
+        .SetType(LicenseType::kUsage)
+        .SetPermission(permission)
+        .SetAggregateCount(1)
+        .SetInterval("C1", 10, 20);
+    return *builder.Build();
+  };
+  for (const License& issued :
+       {usage("K", Permission::kPlay), usage("other", Permission::kPlay),
+        usage("K", Permission::kCopy)}) {
+    EXPECT_EQ(validator.SatisfyingSet(issued),
+              InstanceContainsLoop(set, issued))
+        << issued.content_key();
+  }
+  EXPECT_EQ(validator.SatisfyingSet(usage("K", Permission::kPlay)),
+            testing::Mask(0b1));
 }
 
-// Property: the R-tree backend and the linear backend agree on random
+// Property: the SoA lookup agrees with the InstanceContains loop on random
 // license sets and random usage licenses, across dimensionalities.
 class InstanceBackendAgreementTest : public ::testing::TestWithParam<int> {};
 
@@ -85,10 +102,7 @@ TEST_P(InstanceBackendAgreementTest, BackendsAgree) {
                                      1))
               .ok());
     }
-    const LinearInstanceValidator linear(&set);
-    const Result<RtreeInstanceValidator> rtree =
-        RtreeInstanceValidator::Build(&set);
-    ASSERT_TRUE(rtree.ok());
+    const SoaInstanceValidator soa(&set);
     for (int q = 0; q < 50; ++q) {
       std::vector<std::pair<int64_t, int64_t>> ranges;
       for (int d = 0; d < dims; ++d) {
@@ -96,7 +110,7 @@ TEST_P(InstanceBackendAgreementTest, BackendsAgree) {
         ranges.push_back({lo, lo + rng.UniformInt(0, 20)});
       }
       const License usage = MakeUsage(schema, "LU", ranges, 1);
-      EXPECT_EQ(rtree->SatisfyingSet(usage), linear.SatisfyingSet(usage));
+      EXPECT_EQ(soa.SatisfyingSet(usage), InstanceContainsLoop(set, usage));
     }
   }
 }
@@ -105,15 +119,14 @@ INSTANTIATE_TEST_SUITE_P(Dimensions, InstanceBackendAgreementTest,
                          ::testing::Values(1, 2, 3, 4, 6));
 
 TEST(InstanceValidatorTest, CategoricalDimensionsHandledExactly) {
-  // Category bounding boxes over-approximate; the R-tree backend must still
-  // return exact answers after confirmation.
+  // Category cells go through the mask-superset kernel, not an interval
+  // over-approximation: India lies inside Asia only, never Europe.
   ConstraintSchema schema;
   ASSERT_TRUE(schema.AddIntervalDimension("T").ok());
   ASSERT_TRUE(
       schema.AddCategoricalDimension("R", CategoryUniverse::WorldRegions())
           .ok());
   LicenseCatalog set(&schema);
-  const CategoryUniverse world = CategoryUniverse::WorldRegions();
 
   auto make = [&](const std::string& id, int64_t lo, int64_t hi,
                   const std::vector<std::string>& regions) {
@@ -140,12 +153,10 @@ TEST(InstanceValidatorTest, CategoricalDimensionsHandledExactly) {
       .SetCategories("R", {"India"});
   const License usage = *usage_builder.Build();
 
-  const LinearInstanceValidator linear(&set);
-  const Result<RtreeInstanceValidator> rtree =
-      RtreeInstanceValidator::Build(&set);
-  ASSERT_TRUE(rtree.ok());
-  EXPECT_EQ(linear.SatisfyingSet(usage), testing::Mask(0b01));  // Asia only, not Europe.
-  EXPECT_EQ(rtree->SatisfyingSet(usage), testing::Mask(0b01));
+  const SoaInstanceValidator soa(&set);
+  EXPECT_EQ(InstanceContainsLoop(set, usage),
+            testing::Mask(0b01));  // Asia only, not Europe.
+  EXPECT_EQ(soa.SatisfyingSet(usage), testing::Mask(0b01));
 }
 
 }  // namespace

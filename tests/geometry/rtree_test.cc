@@ -1,197 +1,158 @@
-#include "geometry/rtree.h"
-
+// Catalogue-scale instance lookup: SoaInstanceValidator (and the SoaRects
+// compile under every kernel tier the host runs) against the
+// InstanceContains loop, at catalogue sizes around every 64-license word
+// boundary up to the 1024-license cap (16-word result masks). Cells mix
+// intervals, category sets and multi-piece windows, so the column sweep,
+// the mask-superset kernel and the scalar re-check of multi-piece cells all
+// decide some answers.
 #include <algorithm>
-#include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/instance_validator.h"
+#include "geometry/soa_rects.h"
+#include "test_util.h"
+#include "util/cpu_dispatch.h"
 #include "util/random.h"
 
 namespace geolic {
 namespace {
 
-IntervalBox Box(const std::vector<std::pair<int64_t, int64_t>>& intervals) {
-  IntervalBox box;
-  for (const auto& [lo, hi] : intervals) {
-    box.dims.push_back(Interval(lo, hi));
-  }
-  return box;
-}
+constexpr int64_t kDomain = 1000;
+constexpr uint64_t kCategoryBits = 0xFF;  // Universe C0..C7.
 
-TEST(IntervalBoxTest, ContainsAndOverlaps) {
-  const IntervalBox outer = Box({{0, 10}, {0, 10}});
-  EXPECT_TRUE(outer.Contains(Box({{2, 8}, {3, 7}})));
-  EXPECT_FALSE(outer.Contains(Box({{2, 11}, {3, 7}})));
-  EXPECT_TRUE(outer.Overlaps(Box({{10, 20}, {5, 15}})));
-  EXPECT_FALSE(outer.Overlaps(Box({{11, 20}, {5, 15}})));
-  EXPECT_FALSE(outer.Contains(Box({{1, 2}})));  // Dimensionality mismatch.
-}
-
-TEST(IntervalBoxTest, ExtendGrowsToCover) {
-  IntervalBox box = Box({{0, 5}, {0, 5}});
-  box.Extend(Box({{3, 9}, {-2, 1}}));
-  EXPECT_EQ(box.dims[0], Interval(0, 9));
-  EXPECT_EQ(box.dims[1], Interval(-2, 5));
-}
-
-TEST(IntervalBoxTest, ExtendIntoDefaultAdopts) {
-  IntervalBox box;
-  box.Extend(Box({{1, 2}, {3, 4}}));
-  ASSERT_EQ(box.dims.size(), 2u);
-  EXPECT_EQ(box.dims[0], Interval(1, 2));
-}
-
-TEST(IntervalBoxTest, Measure) {
-  EXPECT_DOUBLE_EQ(Box({{0, 9}, {0, 4}}).Measure(), 50.0);
-  EXPECT_DOUBLE_EQ(Box({{3, 3}}).Measure(), 1.0);
-}
-
-TEST(RtreeTest, EmptyTree) {
-  Rtree tree(2);
-  EXPECT_EQ(tree.size(), 0u);
-  EXPECT_EQ(tree.Height(), 0);
-  EXPECT_TRUE(tree.FindContaining(Box({{0, 1}, {0, 1}})).empty());
-  EXPECT_TRUE(tree.FindOverlapping(Box({{0, 1}, {0, 1}})).empty());
-  EXPECT_TRUE(tree.CheckInvariants().ok());
-}
-
-TEST(RtreeTest, InsertRejectsBadBoxes) {
-  Rtree tree(2);
-  EXPECT_FALSE(tree.Insert(Box({{0, 1}}), 1).ok());          // Wrong dims.
-  EXPECT_FALSE(tree.Insert(Box({{0, 1}, {5, 3}}), 1).ok());  // Empty dim.
-  EXPECT_EQ(tree.size(), 0u);
-}
-
-TEST(RtreeTest, SingleEntryLookup) {
-  Rtree tree(2);
-  ASSERT_TRUE(tree.Insert(Box({{0, 10}, {0, 10}}), 7).ok());
-  EXPECT_EQ(tree.size(), 1u);
-  EXPECT_EQ(tree.Height(), 1);
-  const std::vector<int64_t> hits = tree.FindContaining(Box({{2, 3}, {4, 5}}));
-  ASSERT_EQ(hits.size(), 1u);
-  EXPECT_EQ(hits[0], 7);
-  EXPECT_TRUE(tree.FindContaining(Box({{2, 11}, {4, 5}})).empty());
-}
-
-TEST(RtreeTest, SplitsGrowHeightAndKeepInvariants) {
-  Rtree tree(2, 4);
-  for (int i = 0; i < 100; ++i) {
-    const int64_t x = (i % 10) * 20;
-    const int64_t y = (i / 10) * 20;
-    ASSERT_TRUE(tree.Insert(Box({{x, x + 15}, {y, y + 15}}), i).ok());
-    ASSERT_TRUE(tree.CheckInvariants().ok()) << "after insert " << i;
-  }
-  EXPECT_EQ(tree.size(), 100u);
-  EXPECT_GT(tree.Height(), 1);
-}
-
-TEST(RtreeTest, FindOverlappingFindsTouchingBoxes) {
-  Rtree tree(1, 4);
-  ASSERT_TRUE(tree.Insert(Box({{0, 5}}), 1).ok());
-  ASSERT_TRUE(tree.Insert(Box({{5, 9}}), 2).ok());
-  ASSERT_TRUE(tree.Insert(Box({{10, 20}}), 3).ok());
-  std::vector<int64_t> hits = tree.FindOverlapping(Box({{5, 5}}));
-  std::sort(hits.begin(), hits.end());
-  EXPECT_EQ(hits, (std::vector<int64_t>{1, 2}));
-}
-
-TEST(RtreeTest, DuplicateBoxesAllRetrievable) {
-  Rtree tree(2, 4);
-  for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(tree.Insert(Box({{0, 10}, {0, 10}}), i).ok());
-  }
-  EXPECT_EQ(tree.FindContaining(Box({{1, 2}, {1, 2}})).size(), 20u);
-  EXPECT_TRUE(tree.CheckInvariants().ok());
-}
-
-// Property: R-tree results match a brute-force linear scan on random boxes,
-// for both containment and overlap queries, across fanouts.
-class RtreePropertyTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(RtreePropertyTest, MatchesLinearScan) {
-  const int max_entries = GetParam();
-  Rng rng(1234 + static_cast<uint64_t>(max_entries));
-  constexpr int kDims = 3;
-  constexpr int kBoxes = 400;
-  Rtree tree(kDims, max_entries);
-  std::vector<IntervalBox> boxes;
-  for (int i = 0; i < kBoxes; ++i) {
-    IntervalBox box;
-    for (int d = 0; d < kDims; ++d) {
-      const int64_t lo = rng.UniformInt(0, 99);
-      const int64_t hi = rng.UniformInt(lo, 99);
-      box.dims.push_back(Interval(lo, hi));
+std::vector<simd::Tier> AvailableTiers() {
+  std::vector<simd::Tier> tiers = {simd::Tier::kScalar};
+  for (const simd::Tier tier : {simd::Tier::kSse42, simd::Tier::kAvx2}) {
+    if (simd::TierAvailable(tier)) {
+      tiers.push_back(tier);
     }
-    ASSERT_TRUE(tree.Insert(box, i).ok());
-    boxes.push_back(box);
   }
-  ASSERT_TRUE(tree.CheckInvariants().ok());
-
-  for (int trial = 0; trial < 200; ++trial) {
-    IntervalBox query;
-    for (int d = 0; d < kDims; ++d) {
-      const int64_t lo = rng.UniformInt(0, 99);
-      const int64_t hi = rng.UniformInt(lo, std::min<int64_t>(lo + 30, 99));
-      query.dims.push_back(Interval(lo, hi));
-    }
-    std::vector<int64_t> expected_containing;
-    std::vector<int64_t> expected_overlapping;
-    for (int i = 0; i < kBoxes; ++i) {
-      if (boxes[static_cast<size_t>(i)].Contains(query)) {
-        expected_containing.push_back(i);
-      }
-      if (boxes[static_cast<size_t>(i)].Overlaps(query)) {
-        expected_overlapping.push_back(i);
-      }
-    }
-    std::vector<int64_t> actual_containing = tree.FindContaining(query);
-    std::vector<int64_t> actual_overlapping = tree.FindOverlapping(query);
-    std::sort(actual_containing.begin(), actual_containing.end());
-    std::sort(actual_overlapping.begin(), actual_overlapping.end());
-    EXPECT_EQ(actual_containing, expected_containing);
-    EXPECT_EQ(actual_overlapping, expected_overlapping);
-  }
+  return tiers;
 }
 
-INSTANTIATE_TEST_SUITE_P(Fanouts, RtreePropertyTest,
-                         ::testing::Values(4, 8, 16));
-
-TEST(RtreeTest, SurvivesSaturatedMeasuresInHighDimensions) {
-  // Regression: with 20 dimensions each saturating Interval::Length() at
-  // INT64_MAX, an unsaturated Measure() overflows double to inf, the
-  // enlargement/waste arithmetic turns into inf − inf = NaN, and the
-  // quadratic split picks an out-of-range entry (ChooseLeaf keeps no best
-  // child at all). Measure now clamps at DBL_MAX, so inserts split
-  // deterministically and queries still work.
-  constexpr int kDims = 20;
-  constexpr int kBoxes = 40;
-  const int64_t kLo = std::numeric_limits<int64_t>::min();
-  const int64_t kHi = std::numeric_limits<int64_t>::max();
-  Rtree tree(kDims, /*max_entries=*/4);
-  for (int i = 0; i < kBoxes; ++i) {
-    IntervalBox box;
-    for (int d = 0; d < kDims; ++d) {
-      // Every box nearly full-range — narrow one edge so boxes differ and
-      // containment queries have structure.
-      box.dims.push_back(d == i % kDims ? Interval(kLo + i, kHi - i)
-                                        : Interval(kLo, kHi));
-    }
-    ASSERT_TRUE(tree.Insert(box, i).ok()) << "insert " << i;
+// T: interval; R: category set; W: window, a single interval or a union of
+// two or three pieces with gaps.
+ConstraintSchema MixedSchema() {
+  CategoryUniverse universe;
+  for (int c = 0; c < 8; ++c) {
+    GEOLIC_CHECK(universe.Define("C" + std::to_string(c)).ok());
   }
-  ASSERT_EQ(tree.size(), static_cast<size_t>(kBoxes));
-  ASSERT_TRUE(tree.CheckInvariants().ok());
-
-  // A full-range query is contained only in the truly full-range boxes.
-  IntervalBox query;
-  for (int d = 0; d < kDims; ++d) {
-    query.dims.push_back(Interval(kLo, kHi));
-  }
-  std::vector<int64_t> containing = tree.FindContaining(query);
-  std::sort(containing.begin(), containing.end());
-  EXPECT_EQ(containing, (std::vector<int64_t>{0}));
-  EXPECT_EQ(tree.FindOverlapping(query).size(), static_cast<size_t>(kBoxes));
+  ConstraintSchema schema;
+  GEOLIC_CHECK(schema.AddIntervalDimension("T").ok());
+  GEOLIC_CHECK(schema.AddCategoricalDimension("R", universe).ok());
+  GEOLIC_CHECK(schema.AddIntervalDimension("W").ok());
+  return schema;
 }
+
+// Wide catalogue cells, so a query usually lies inside many licenses and
+// result bits land in every word of the mask. With `universal` set, the
+// license contains every query RandomUsage draws.
+License RandomRedistribution(const ConstraintSchema& schema, int index,
+                             bool universal, Rng* rng) {
+  const int64_t t_lo = universal ? 0 : rng->UniformInt(0, kDomain / 2);
+  std::vector<std::pair<int64_t, int64_t>> windows;
+  int64_t cursor = rng->UniformInt(0, kDomain / 4);
+  const int pieces = static_cast<int>(rng->UniformInt(1, 3));
+  for (int p = 0; p < pieces && cursor < kDomain; ++p) {
+    const int64_t hi = std::min(kDomain, cursor + rng->UniformInt(50, 400));
+    windows.push_back({cursor, hi});
+    cursor = hi + rng->UniformInt(2, 60);  // A gap of at least one value.
+  }
+  if (universal) {
+    windows = {{0, 2 * kDomain}};
+  }
+  const uint64_t categories =
+      universal ? kCategoryBits : (rng->Next() | rng->Next()) & kCategoryBits;
+  LicenseBuilder builder(&schema);
+  builder.SetId("LD" + std::to_string(index))
+      .SetContentKey("K")
+      .SetType(LicenseType::kRedistribution)
+      .SetPermission(Permission::kPlay)
+      .SetAggregateCount(1)
+      .SetInterval("T", t_lo,
+                   universal ? kDomain
+                             : rng->UniformInt(t_lo + kDomain / 4, kDomain))
+      .SetRange("R", ConstraintRange(CategorySet(categories)))
+      .SetIntervalUnion("W", windows);
+  const Result<License> license = builder.Build();
+  GEOLIC_CHECK(license.ok());
+  return *license;
+}
+
+// Narrow queries. Their W range sometimes spans a whole catalogue gap, and
+// sometimes is itself a two-piece union.
+License RandomUsage(const ConstraintSchema& schema, Rng* rng) {
+  const int64_t t_lo = rng->UniformInt(0, kDomain);
+  const int64_t w_lo = rng->UniformInt(0, kDomain);
+  LicenseBuilder builder(&schema);
+  builder.SetId("LU")
+      .SetContentKey("K")
+      .SetType(LicenseType::kUsage)
+      .SetPermission(Permission::kPlay)
+      .SetAggregateCount(1)
+      .SetInterval("T", t_lo, std::min(kDomain, t_lo + rng->UniformInt(0, 40)))
+      .SetRange("R", ConstraintRange(CategorySet(
+                         uint64_t{1} << rng->UniformIndex(8))));
+  if (rng->Bernoulli(0.2)) {
+    builder.SetIntervalUnion(
+        "W", {{w_lo, w_lo + 3}, {w_lo + 10, w_lo + rng->UniformInt(10, 80)}});
+  } else {
+    builder.SetInterval("W", w_lo, w_lo + rng->UniformInt(0, 80));
+  }
+  const Result<License> license = builder.Build();
+  GEOLIC_CHECK(license.ok());
+  return *license;
+}
+
+// Property: for n licenses around each word boundary, every kernel tier's
+// SoA scan and the dispatched SoaInstanceValidator return exactly the
+// InstanceContains loop's set.
+class InstanceLookupScaleTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(InstanceLookupScaleTest, MatchesLinearScan) {
+  const int n = GetParam();
+  const ConstraintSchema schema = MixedSchema();
+  Rng rng(testing::TestSeed(4321) + static_cast<uint64_t>(n));
+  LicenseCatalog licenses(&schema);
+  std::vector<HyperRect> rects;
+  for (int i = 0; i < n; ++i) {
+    // The last license contains every query, so the mask's last (often
+    // partial) word is never all-zero.
+    License license = RandomRedistribution(schema, i, i == n - 1, &rng);
+    rects.push_back(license.rect());
+    ASSERT_TRUE(licenses.Add(std::move(license)).ok());
+  }
+  const SoaRects soa = SoaRects::Build(rects);
+  ASSERT_EQ(soa.result_words(), SoaRects::WordsFor(static_cast<size_t>(n)));
+  const SoaInstanceValidator validator(&licenses);
+
+  size_t hits = 0;
+  for (int q = 0; q < 200; ++q) {
+    const License usage = RandomUsage(schema, &rng);
+    const LicenseSet want = testing::InstanceContainsLoop(licenses, usage);
+    ASSERT_TRUE(want.Contains(n - 1));
+    hits += static_cast<size_t>(want.Size());
+    ASSERT_EQ(validator.SatisfyingSet(usage), want)
+        << "query " << q << ": " << usage.rect().ToString();
+    for (const simd::Tier tier : AvailableTiers()) {
+      const simd::Kernels& kernels = simd::KernelsForTier(tier);
+      uint64_t out[kMaxLicenseWords];
+      soa.ContainingWithKernels(kernels, usage.rect(), out);
+      ASSERT_EQ(LicenseSet::FromWords({out, soa.result_words()}), want)
+          << "tier " << kernels.name << " query " << q << ": "
+          << usage.rect().ToString();
+    }
+  }
+  // Beyond the universal license, queries must hit the random ones too.
+  EXPECT_GT(hits, 2 * 200u);
+}
+
+INSTANTIATE_TEST_SUITE_P(CatalogueSizes, InstanceLookupScaleTest,
+                         ::testing::Values(63, 64, 65, 255, 256, 1023, 1024));
 
 }  // namespace
 }  // namespace geolic

@@ -30,9 +30,9 @@ std::vector<simd::Tier> AvailableTiers() {
   return tiers;
 }
 
-// Bound values skewed toward the saturation edges the PR-4 Guttman fix
-// exercised: INT64 extremes and off-by-one neighbors show up often enough
-// that the fail-closed sentinels and closed-interval comparisons get hit.
+// Bound values skewed toward the saturation edges: INT64 extremes and
+// off-by-one neighbors show up often enough that the fail-closed sentinels
+// and closed-interval comparisons get hit.
 int64_t EdgyValue(Rng* rng) {
   switch (rng->UniformIndex(8)) {
     case 0:
@@ -77,7 +77,7 @@ ConstraintRange RandomRange(Rng* rng) {
     case 2:  // Category set (sometimes empty).
       return ConstraintRange(
           CategorySet(rng->Bernoulli(0.15) ? 0 : rng->Next() & 0xFF));
-    default: {  // Narrow interval: makes containment/overlap hits common.
+    default: {  // Narrow interval: makes containment hits common.
       const int64_t lo = rng->UniformInt(-20, 20);
       return ConstraintRange(Interval(lo, lo + rng->UniformInt(0, 10)));
     }
@@ -92,8 +92,8 @@ HyperRect RandomRect(Rng* rng, int dims) {
   return rect;
 }
 
-// 1k random (catalog, query) trials: every available tier's Containing /
-// Overlapping must be bit-identical to the scalar HyperRect predicates.
+// 1k random (catalog, query) trials: every available tier's Containing
+// must be bit-identical to the scalar HyperRect::Contains predicate.
 TEST(SoaRectsTest, FuzzEquivalenceAcrossTiersMatchesHyperRect) {
   Rng rng(20260808);
   const std::vector<simd::Tier> tiers = AvailableTiers();
@@ -116,27 +116,19 @@ TEST(SoaRectsTest, FuzzEquivalenceAcrossTiersMatchesHyperRect) {
 
     for (const simd::Tier tier : tiers) {
       uint64_t contain[kMaxLicenseWords];
-      uint64_t overlap[kMaxLicenseWords];
       const simd::Kernels& kernels = simd::KernelsForTier(tier);
       soa.ContainingWithKernels(kernels, query, contain);
-      soa.OverlappingWithKernels(kernels, query, overlap);
       for (size_t j = 0; j < n; ++j) {
         const bool got_contain = (contain[j / 64] >> (j % 64)) & 1;
-        const bool got_overlap = (overlap[j / 64] >> (j % 64)) & 1;
         ASSERT_EQ(got_contain, rects[j].Contains(query))
             << "trial " << trial << " tier " << kernels.name << " rect " << j
             << " contains: rect=" << rects[j].ToString()
-            << " query=" << query.ToString();
-        ASSERT_EQ(got_overlap, rects[j].Overlaps(query))
-            << "trial " << trial << " tier " << kernels.name << " rect " << j
-            << " overlaps: rect=" << rects[j].ToString()
             << " query=" << query.ToString();
       }
       // Tail bits past n stay clear (callers hand the words to
       // LicenseSet::FromWords, which requires canonical padding).
       for (size_t j = n; j < SoaRects::WordsFor(n) * 64; ++j) {
         ASSERT_FALSE((contain[j / 64] >> (j % 64)) & 1);
-        ASSERT_FALSE((overlap[j / 64] >> (j % 64)) & 1);
       }
     }
   }
@@ -149,8 +141,6 @@ TEST(SoaRectsTest, EmptyBuildMatchesEmptyCatalog) {
   HyperRect query;
   query.AddDim(ConstraintRange(Interval(0, 10)));
   soa.Containing(query, out);
-  EXPECT_EQ(out[0], 0u);
-  soa.Overlapping(query, out);
   EXPECT_EQ(out[0], 0u);
 }
 
@@ -169,13 +159,8 @@ TEST(SoaRectsTest, MultiPieceCellsReCheckExactly) {
   uint64_t out[kMaxLicenseWords];
   soa.Containing(inside_gap, out);
   EXPECT_EQ(out[0], 0u);
-  // But the gap query still fails overlap, while [5,25] overlaps.
-  soa.Overlapping(inside_gap, out);
-  EXPECT_EQ(out[0], 0u);
   HyperRect spanning;
   spanning.AddDim(ConstraintRange(Interval(5, 25)));
-  soa.Overlapping(spanning, out);
-  EXPECT_EQ(out[0], 1u);
   soa.Containing(spanning, out);
   EXPECT_EQ(out[0], 0u);
   HyperRect in_piece;

@@ -217,6 +217,27 @@ TEST(RequestTraceTest, FinishIsIdempotent) {
 
 #endif  // GEOLIC_DISABLE_TRACING
 
+// Stops and joins writer threads when the scope ends, including through a
+// failed ASSERT's early return: destroying a joinable std::thread would call
+// std::terminate instead of reporting the failure.
+class StopAndJoin {
+ public:
+  StopAndJoin(std::atomic<bool>* stop, std::vector<std::thread>* threads)
+      : stop_(stop), threads_(threads) {}
+  StopAndJoin(const StopAndJoin&) = delete;
+  StopAndJoin& operator=(const StopAndJoin&) = delete;
+  ~StopAndJoin() {
+    stop_->store(true);
+    for (std::thread& thread : *threads_) {
+      thread.join();
+    }
+  }
+
+ private:
+  std::atomic<bool>* stop_;
+  std::vector<std::thread>* threads_;
+};
+
 // Concurrency: readers snapshotting the ring and the profile while writers
 // record must never observe torn spans (mixed-up fields) — the seqlock
 // version check has to filter slots mid-write.
@@ -225,32 +246,33 @@ TEST(TracerTest, ConcurrentCollectNeverYieldsTornSpans) {
                               .slow_request_nanos = 0});
   std::atomic<bool> stop{false};
   std::vector<std::thread> writers;
-  for (int t = 0; t < 4; ++t) {
-    writers.emplace_back([&tracer, &stop, t] {
-      const uint64_t id = static_cast<uint64_t>(t) + 1;
-      while (!stop.load(std::memory_order_relaxed)) {
-        // Each writer's spans carry its own signature: request_id == t+1,
-        // duration == 1000 * (t+1), stage cycles with parity of id.
-        tracer.Record(Span(id, TraceStage::kEquationScan, id * 7, id * 1000));
+  {
+    const StopAndJoin join_writers(&stop, &writers);
+    for (int t = 0; t < 4; ++t) {
+      writers.emplace_back([&tracer, &stop, t] {
+        const uint64_t id = static_cast<uint64_t>(t) + 1;
+        while (!stop.load(std::memory_order_relaxed)) {
+          // Each writer's spans carry its own signature: request_id == t+1,
+          // duration == 1000 * (t+1), start == 7 * (t+1).
+          tracer.Record(
+              Span(id, TraceStage::kEquationScan, id * 7, id * 1000));
+        }
+      });
+    }
+    for (int i = 0; i < 500; ++i) {
+      for (const TraceSpan& span : tracer.CollectSpans()) {
+        // A torn read would pair one writer's request_id with another's
+        // duration or timestamp.
+        ASSERT_GE(span.request_id, 1u);
+        ASSERT_LE(span.request_id, 4u);
+        ASSERT_EQ(span.duration_nanos, span.request_id * 1000) << "torn slot";
+        ASSERT_EQ(span.start_nanos, span.request_id * 7) << "torn slot";
+        ASSERT_EQ(span.stage, TraceStage::kEquationScan);
       }
-    });
-  }
-  for (int i = 0; i < 500; ++i) {
-    for (const TraceSpan& span : tracer.CollectSpans()) {
-      // A torn read would pair one writer's request_id with another's
-      // duration or timestamp.
-      ASSERT_GE(span.request_id, 1u);
-      ASSERT_LE(span.request_id, 4u);
-      ASSERT_EQ(span.duration_nanos, span.request_id * 1000) << "torn slot";
-      ASSERT_EQ(span.start_nanos, span.request_id * 7) << "torn slot";
-      ASSERT_EQ(span.stage, TraceStage::kEquationScan);
     }
   }
-  stop.store(true);
-  for (std::thread& writer : writers) {
-    writer.join();
-  }
-  // Everything every writer recorded reached the profile.
+  // Everything every writer recorded reached the profile, including spans
+  // the ring dropped because their slot was held by another writer.
   const StageProfile::Snapshot profile = tracer.ProfileSnapshot();
   EXPECT_EQ(profile.stage(TraceStage::kEquationScan).total_count,
             tracer.spans_recorded());

@@ -11,6 +11,7 @@
 
 #include "sim/reference_model.h"
 #include "test_util.h"
+#include "validation/flat_tree.h"
 
 namespace geolic {
 namespace {
@@ -140,7 +141,7 @@ TEST(IssuanceServiceTest, MatchesReferenceModelSerially) {
   }
 
   // The offline-audit snapshot: a flat compile of the same merged tree.
-  const Result<FlatValidationTree> flat = (*service)->CollectFlatTree();
+  const Result<FlatValidationTree> flat = FlatValidationTree::Compile(*tree);
   ASSERT_TRUE(flat.ok());
   EXPECT_EQ(flat->NodeCount(), tree->NodeCount());
   EXPECT_EQ(flat->TotalCount(), tree->TotalCount());

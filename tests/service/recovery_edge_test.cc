@@ -8,11 +8,13 @@
 
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "persist/checkpoint.h"
 #include "persist/journal.h"
 #include "persist/sync_file.h"
 #include "service/issuance_service.h"
@@ -136,6 +138,36 @@ TEST(RecoveryEdgeTest, EmptyJournalAfterCheckpointRecoversCheckpointExactly) {
   const std::unique_ptr<IssuanceService> serial =
       SerialReplay(schema, licenses, kRequests);
   ExpectSameState(recovered->get(), serial.get());
+}
+
+TEST(RecoveryEdgeTest, CheckpointPayloadWithoutV3SentinelIsRejected) {
+  // The pre-v3 service payload: the covered journal sequence, then the
+  // record table, with no sentinel or version word. Nothing writes it, and
+  // recovery must refuse it instead of guessing its layout.
+  const ConstraintSchema schema = IntervalSchema(1);
+  const LicenseCatalog licenses = TwoGroupSet(schema);
+  LogStore records;
+  LogRecord record;
+  record.issued_license_id = "U0";
+  record.set = LicenseSet::Singleton(0) | LicenseSet::Singleton(1);
+  record.count = 1;
+  ASSERT_TRUE(records.Append(record).ok());
+  std::ostringstream body;
+  const uint64_t covered_seq = 0;
+  body.write(reinterpret_cast<const char*>(&covered_seq), sizeof(covered_seq));
+  records.SerializeRecords(&body);
+  const std::string checkpoint_path =
+      ::testing::TempDir() + "edge_pre_v3_payload.gck";
+  ASSERT_TRUE(WriteCheckpointFile(CheckpointKind::kServiceSnapshot,
+                                  body.str(), checkpoint_path)
+                  .ok());
+
+  const Result<std::unique_ptr<IssuanceService>> recovered =
+      IssuanceService::Recover(&licenses, {}, checkpoint_path,
+                               /*journal_path=*/"");
+  ASSERT_FALSE(recovered.ok());
+  EXPECT_EQ(recovered.status().code(), StatusCode::kParseError)
+      << recovered.status().ToString();
 }
 
 TEST(RecoveryEdgeTest, CheckpointCoveringZeroFramesReplaysWholeJournal) {

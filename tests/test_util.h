@@ -22,6 +22,21 @@ namespace geolic::testing {
 // Shorthand for a single-word LicenseSet literal: Mask(0b101) == {L1, L3}.
 inline LicenseSet Mask(uint64_t word) { return LicenseSet::FromWord(word); }
 
+// The paper's instance-based validation predicate, one license at a time:
+// every redistribution license whose InstanceContains accepts `issued`.
+// This is the reference SoaInstanceValidator is held to, and the rule
+// sim::ReferenceModel executes as the spec.
+inline LicenseSet InstanceContainsLoop(const LicenseCatalog& licenses,
+                                       const License& issued) {
+  LicenseSet set;
+  for (int i = 0; i < licenses.size(); ++i) {
+    if (licenses.at(i).InstanceContains(issued)) {
+      set |= LicenseSet::Singleton(i);
+    }
+  }
+  return set;
+}
+
 // The paper's offline audit: grouped validation of `log` against
 // `licenses` (grouping, tree division, Algorithm 2 per group).
 inline Result<ValidationOutcome> GroupedAudit(const LicenseCatalog& licenses,
