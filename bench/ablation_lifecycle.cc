@@ -7,7 +7,11 @@
 // quiescent catalog, then a reconfiguration storm (a bridge license
 // acquired and revoked in a tight loop, merging and re-splitting two
 // shards each round) — and self-checks that the storm-phase p99 stays
-// within 5x of the quiescent p99. Machine-readable: --json_out=<path>.
+// within 5x of the quiescent p99. The storm is timed from the first
+// published reconfiguration on, and each storm rep must see at least
+// kMinStormReconfigs of them inside its timed window, so the bar is never
+// met by a storm that had not started. Machine-readable:
+// --json_out=<path>.
 #include <algorithm>
 #include <atomic>
 #include <cinttypes>
@@ -27,6 +31,10 @@
 namespace {
 
 using namespace geolic;  // NOLINT
+
+// Reconfigurations a storm rep must publish while its admissions are
+// being timed.
+constexpr uint64_t kMinStormReconfigs = 10;
 
 // `groups` disjoint clusters of two overlapping licenses, 1000 apart.
 LicenseCatalog MakeGroupedSet(const ConstraintSchema& schema, int groups) {
@@ -92,11 +100,12 @@ int64_t Percentile(std::vector<int64_t>* nanos, double p) {
 struct PhaseResult {
   int64_t p50_ns = 0;
   int64_t p99_ns = 0;
-  uint64_t reconfigs = 0;
+  uint64_t reconfigs = 0;  // Published while the admissions were timed.
 };
 
 // Times every admission in `requests`; when `storm` is set, a background
-// thread acquires and revokes the bridge license continuously.
+// thread acquires and revokes the bridge license continuously, and timing
+// starts once its first reconfiguration is published.
 PhaseResult RunPhase(const LicenseCatalog& licenses,
                      const std::vector<License>& requests, bool storm) {
   Result<std::unique_ptr<IssuanceService>> service =
@@ -117,6 +126,10 @@ PhaseResult RunPhase(const LicenseCatalog& licenses,
     });
   }
 
+  while (storm && s->catalog_epoch() == 0) {
+    std::this_thread::yield();
+  }
+  const uint64_t first_epoch = s->catalog_epoch();
   std::vector<int64_t> nanos;
   nanos.reserve(requests.size());
   for (const License& request : requests) {
@@ -129,9 +142,9 @@ PhaseResult RunPhase(const LicenseCatalog& licenses,
 
   PhaseResult result;
   if (storm) {
+    result.reconfigs = s->catalog_epoch() - first_epoch;
     stop.store(true, std::memory_order_release);
     reconfigurer.join();
-    result.reconfigs = s->catalog_epoch();
     // Every transient bridge was revoked again: the stable accepted set
     // must survive all the merges and splits intact.
     GEOLIC_CHECK(s->licenses().size() == licenses.size());
@@ -167,6 +180,7 @@ int main(int argc, char** argv) {
               groups, request_count, reps);
   std::printf("%10s  %10s  %10s  %10s\n", "phase", "p50_ns", "p99_ns",
               "reconfigs");
+  std::fflush(stdout);
 
   // Best-of-reps on both sides: scheduling noise hits each phase alike.
   PhaseResult quiescent;
@@ -174,6 +188,11 @@ int main(int argc, char** argv) {
   for (int rep = 0; rep < reps; ++rep) {
     const PhaseResult q = RunPhase(licenses, requests, /*storm=*/false);
     const PhaseResult r = RunPhase(licenses, requests, /*storm=*/true);
+    std::printf("# storm rep %d: %" PRIu64
+                " reconfigurations timed (min %" PRIu64 ")\n",
+                rep + 1, r.reconfigs, kMinStormReconfigs);
+    std::fflush(stdout);
+    GEOLIC_CHECK(r.reconfigs >= kMinStormReconfigs);
     if (rep == 0 || q.p99_ns < quiescent.p99_ns) {
       quiescent = q;
     }
@@ -198,6 +217,7 @@ int main(int argc, char** argv) {
   const double ratio = static_cast<double>(storm.p99_ns) / baseline;
   std::printf("# storm p99 / quiescent p99 = %.2fx (bar: 5x, floor %gns)\n",
               ratio, floor_ns);
+  std::fflush(stdout);
   GEOLIC_CHECK(static_cast<double>(storm.p99_ns) <= 5.0 * baseline);
 
   json.Row([&](JsonWriter& out) {

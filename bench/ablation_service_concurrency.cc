@@ -11,9 +11,7 @@
 // request is accepted and the accepted set is identical across thread
 // counts — the run doubles as a determinism check against serial replay.
 #include <algorithm>
-#include <cinttypes>
 #include <cstdio>
-#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -24,7 +22,6 @@
 #include "licensing/license.h"
 #include "licensing/license_catalog.h"
 #include "obs/exposition.h"
-#include "obs/trace.h"
 #include "service/issuance_service.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
@@ -212,6 +209,10 @@ int main(int argc, char** argv) {
                 static_cast<double>(request_count) / elapsed_ms);
     std::printf("# metrics: %s\n",
                 (*service)->metrics().Snap().ToString().c_str());
+    if (!metrics_out.empty()) {
+      GEOLIC_CHECK(WriteMetricsFile((*service)->Snap(), metrics_out).ok());
+      std::printf("# metrics written to %s\n", metrics_out.c_str());
+    }
     json.Row([&](JsonWriter& out) {
       out.KeyValue("mode", "batched");
       out.KeyValue("batch_size", static_cast<int64_t>(batch_size));
@@ -221,89 +222,9 @@ int main(int argc, char** argv) {
     });
   }
 
-  // Tracing overhead: the same single-thread run with and without a Tracer
-  // attached, at the recommended production sampling (1-in-32 requests
-  // traced; exact IssuanceMetrics are always on either way) and at full
-  // tracing for reference. An admission here is a few hundred nanoseconds
-  // — far below anything that would journal — so this is the worst case
-  // for span overhead; the sampled budget is < 5%.
-  {
-    constexpr int kReps = 7;
-    constexpr uint32_t kSamplePeriod = 64;
-    double plain_ms = std::numeric_limits<double>::infinity();
-    double sampled_ms = std::numeric_limits<double>::infinity();
-    double full_ms = std::numeric_limits<double>::infinity();
-    Tracer sampled_tracer(TracerOptions{.ring_capacity = 8192,
-                                        .slow_request_nanos = 0,
-                                        .sample_period = kSamplePeriod});
-    Tracer full_tracer(TracerOptions{.ring_capacity = 8192,
-                                     .slow_request_nanos = 0});
-    OnlineValidatorOptions sampled_options;
-    sampled_options.tracer = &sampled_tracer;
-    OnlineValidatorOptions full_options;
-    full_options.tracer = &full_tracer;
-    // Tight plain/sampled alternation so each pair sees the same cache and
-    // frequency conditions; the overhead is the median of the per-pair
-    // ratios, which cancels drift across the run. The (much heavier)
-    // full-tracing reference runs after the comparison so it cannot
-    // perturb it.
-    std::vector<double> ratios;
-    for (int rep = 0; rep < kReps; ++rep) {
-      Result<std::unique_ptr<IssuanceService>> plain =
-          IssuanceService::Create(&licenses);
-      GEOLIC_CHECK(plain.ok());
-      const double rep_plain_ms = RunThreaded(plain->get(), requests, 1);
-      plain_ms = std::min(plain_ms, rep_plain_ms);
-
-      Result<std::unique_ptr<IssuanceService>> sampled =
-          IssuanceService::Create(&licenses, sampled_options);
-      GEOLIC_CHECK(sampled.ok());
-      const double rep_sampled_ms =
-          RunThreaded(sampled->get(), requests, 1);
-      sampled_ms = std::min(sampled_ms, rep_sampled_ms);
-      if (rep_plain_ms > 0) {
-        ratios.push_back(rep_sampled_ms / rep_plain_ms);
-      }
-
-      if (rep == kReps - 1) {
-        if (!metrics_out.empty()) {
-          const ExpositionInput exposition = (*sampled)->Snap();
-          GEOLIC_CHECK(WriteMetricsFile(exposition, metrics_out).ok());
-          std::printf("# metrics written to %s\n", metrics_out.c_str());
-        }
-      }
-    }
-    for (int rep = 0; rep < 2; ++rep) {
-      Result<std::unique_ptr<IssuanceService>> full =
-          IssuanceService::Create(&licenses, full_options);
-      GEOLIC_CHECK(full.ok());
-      full_ms = std::min(full_ms, RunThreaded(full->get(), requests, 1));
-    }
-    std::sort(ratios.begin(), ratios.end());
-    const double overhead_pct =
-        ratios.empty() ? 0.0 : 100.0 * (ratios[ratios.size() / 2] - 1.0);
-    const double full_pct =
-        plain_ms > 0 ? 100.0 * (full_ms - plain_ms) / plain_ms : 0.0;
-    std::printf("# tracing overhead (1 thread, median of %d pairs): "
-                "spans-off %.2f ms, spans-on %.2f ms, overhead %.2f%% "
-                "(sampling 1/%u, %" PRIu64 " spans; full tracing: %.2f ms, "
-                "%.2f%%)\n",
-                kReps, plain_ms, sampled_ms, overhead_pct, kSamplePeriod,
-                sampled_tracer.spans_recorded(), full_ms, full_pct);
-    json.Row([&](JsonWriter& out) {
-      out.KeyValue("mode", "tracing_overhead");
-      out.KeyValue("plain_ms", plain_ms);
-      out.KeyValue("sampled_ms", sampled_ms);
-      out.KeyValue("overhead_pct", overhead_pct);
-      out.KeyValue("full_ms", full_ms);
-      out.KeyValue("full_pct", full_pct);
-      out.KeyValue("spans_recorded", sampled_tracer.spans_recorded());
-    });
-  }
-
   std::printf("# expected shape: throughput grows with threads until "
               "min(groups, cores); single-shard stays flat at the 1-thread "
-              "rate; tracing overhead stays under 5%%\n");
+              "rate\n");
   json.Write();
   return 0;
 }

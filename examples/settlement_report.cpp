@@ -1,7 +1,7 @@
 // settlement_report: period-close accounting for a distributor.
 //
 // Runs a quarter of online-validated issuance, then (1) quotes remaining
-// capacity per region via RemainingCapacity, (2) computes the explicit
+// capacity per region via IssuanceService::Headroom, (2) computes the explicit
 // count-to-license settlement via max-flow, and (3) cross-checks the books:
 // every count billed to exactly one license, no budget exceeded, and the
 // offline audit agrees (JSON emitted for tooling).
@@ -11,7 +11,6 @@
 #include <memory>
 
 #include "core/assignment.h"
-#include "core/capacity.h"
 #include "service/issuance_service.h"
 #include "validation/report_json.h"
 #include "validation/validate.h"
@@ -58,10 +57,6 @@ int main() {
     }
   }
   const LogStore log = (*online)->CollectLog();
-  const Result<ValidationTree> tree = (*online)->CollectTree();
-  if (!tree.ok()) {
-    return 1;
-  }
   std::printf("Quarter closed: %d issuances accepted, %lld counts sold\n",
               accepted, static_cast<long long>(log.TotalCount()));
 
@@ -69,8 +64,7 @@ int main() {
   std::printf("\nRemaining capacity quotes:\n");
   for (int i = 0; i < workload->licenses->size(); ++i) {
     const Result<CapacityQuote> quote =
-        RemainingCapacity(*workload->licenses, (*online)->grouping(), *tree,
-                          LicenseSet::Singleton(i));
+        (*online)->Headroom(LicenseSet::Singleton(i));
     if (!quote.ok()) {
       return 1;
     }

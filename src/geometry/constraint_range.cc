@@ -3,6 +3,8 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "util/check.h"
+
 namespace geolic {
 
 MultiInterval ConstraintRange::AsMultiInterval() const {
@@ -65,19 +67,11 @@ ConstraintRange ConstraintRange::Intersect(const ConstraintRange& other) const {
 }
 
 Interval ConstraintRange::BoundingInterval() const {
+  GEOLIC_DCHECK(is_ordered());
   if (is_interval()) {
     return interval();
   }
-  if (is_multi_interval()) {
-    return multi_interval().BoundingInterval();
-  }
-  const uint64_t mask = categories().mask();
-  if (mask == 0) {
-    return Interval::Empty();
-  }
-  const int lo = std::countr_zero(mask);
-  const int hi = 63 - std::countl_zero(mask);
-  return Interval(lo, hi);
+  return multi_interval().BoundingInterval();
 }
 
 std::string ConstraintRange::ToString() const {

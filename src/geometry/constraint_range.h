@@ -69,10 +69,10 @@ class ConstraintRange {
   // Set intersection. Incompatible kinds yield an empty range.
   ConstraintRange Intersect(const ConstraintRange& other) const;
 
-  // Interval over-approximation: ordered ranges map to their bounding
-  // interval (the SoA column value, geometry/soa_rects.h); category sets
-  // map to [lowest bit, highest bit]. Lossy for multi-piece unions and
-  // category sets, so exact tests must confirm any answer derived from it.
+  // Interval over-approximation of an ordered range (the SoA column
+  // value, geometry/soa_rects.h): its bounding interval. Lossy for
+  // multi-piece unions, so exact tests must confirm any answer derived
+  // from it. Precondition: not a category set.
   Interval BoundingInterval() const;
 
   // "[10, 20]" / "[1, 3]|[7, 9]" for ordered kinds, "<cats:0x5>" for

@@ -2,6 +2,7 @@
 #define GEOLIC_VALIDATION_VALIDATE_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "licensing/license_catalog.h"
@@ -109,6 +110,12 @@ Result<ValidationOutcome> Validate(const LicenseCatalog& licenses,
 Result<ValidationOutcome> Validate(const LicenseCatalog& licenses,
                                    const LogStore& log,
                                    const ValidateOptions& options = {});
+
+// In-place subset-sum (zeta) transform of a table indexed by the subsets
+// of an n-element universe (table.size() == 2^n): afterwards
+// table[S] = Σ_{T ⊆ S} table_before[T]. O(n·2^n). The dense offline
+// engine (kZeta) and the service's slack tables are both built with it.
+void ZetaTransform(std::span<int64_t> table);
 
 }  // namespace geolic
 

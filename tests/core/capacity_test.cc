@@ -1,4 +1,6 @@
-#include "core/capacity.h"
+#include <algorithm>
+#include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -13,6 +15,24 @@ using testing::IntervalSchema;
 using testing::MakeRedistribution;
 using testing::MakeUsage;
 
+// A service over `licenses` whose history is `spent` counts against
+// `set` (none when `spent` is 0) — not re-checked, so it may over-issue.
+std::unique_ptr<IssuanceService> ServiceWithHistory(
+    const LicenseCatalog* licenses, const LicenseSet& set, int64_t spent) {
+  LogStore history;
+  if (spent > 0) {
+    LogRecord record;
+    record.issued_license_id = "H1";
+    record.set = set;
+    record.count = spent;
+    GEOLIC_CHECK(history.Append(record).ok());
+  }
+  Result<std::unique_ptr<IssuanceService>> service =
+      IssuanceService::CreateWithHistory(licenses, {}, history);
+  GEOLIC_CHECK(service.ok());
+  return *std::move(service);
+}
+
 TEST(CapacityTest, FreshSetQuotesFullBudget) {
   const ConstraintSchema schema = IntervalSchema(1);
   LicenseCatalog set(&schema);
@@ -20,10 +40,9 @@ TEST(CapacityTest, FreshSetQuotesFullBudget) {
       set.Add(MakeRedistribution(schema, "LD1", {{0, 20}}, 100)).ok());
   ASSERT_TRUE(
       set.Add(MakeRedistribution(schema, "LD2", {{10, 30}}, 50)).ok());
-  const LicenseGrouping grouping = LicenseGrouping::FromLicenses(set);
-  ValidationTree tree;
-  const Result<CapacityQuote> quote =
-      RemainingCapacity(set, grouping, tree, testing::Mask(0b01));
+  const std::unique_ptr<IssuanceService> service =
+      ServiceWithHistory(&set, LicenseSet(), 0);
+  const Result<CapacityQuote> quote = service->Headroom(testing::Mask(0b01));
   ASSERT_TRUE(quote.ok());
   // Binding equation for {L1}: A=100 (the pair equation has slack 150).
   EXPECT_EQ(quote->remaining, 100);
@@ -37,13 +56,11 @@ TEST(CapacityTest, SharedBudgetBinds) {
       set.Add(MakeRedistribution(schema, "LD1", {{0, 20}}, 100)).ok());
   ASSERT_TRUE(
       set.Add(MakeRedistribution(schema, "LD2", {{10, 30}}, 50)).ok());
-  const LicenseGrouping grouping = LicenseGrouping::FromLicenses(set);
-  ValidationTree tree;
   // 120 already issued against {L1,L2}: pair equation slack = 150−120=30,
   // {L1} equation slack stays 100 (the 120 isn't attributable to L1 only).
-  ASSERT_TRUE(tree.Insert(testing::Mask(0b11), 120).ok());
-  const Result<CapacityQuote> quote =
-      RemainingCapacity(set, grouping, tree, testing::Mask(0b01));
+  const std::unique_ptr<IssuanceService> service =
+      ServiceWithHistory(&set, testing::Mask(0b11), 120);
+  const Result<CapacityQuote> quote = service->Headroom(testing::Mask(0b01));
   ASSERT_TRUE(quote.ok());
   EXPECT_EQ(quote->remaining, 30);
   EXPECT_EQ(quote->binding_set, testing::Mask(0b11));
@@ -55,11 +72,9 @@ TEST(CapacityTest, ViolatedEquationQuotesZero) {
   LicenseCatalog set(&schema);
   ASSERT_TRUE(
       set.Add(MakeRedistribution(schema, "LD1", {{0, 20}}, 100)).ok());
-  const LicenseGrouping grouping = LicenseGrouping::FromLicenses(set);
-  ValidationTree tree;
-  ASSERT_TRUE(tree.Insert(testing::Mask(0b1), 130).ok());
-  const Result<CapacityQuote> quote =
-      RemainingCapacity(set, grouping, tree, testing::Mask(0b1));
+  const std::unique_ptr<IssuanceService> service =
+      ServiceWithHistory(&set, testing::Mask(0b1), 130);
+  const Result<CapacityQuote> quote = service->Headroom(testing::Mask(0b1));
   ASSERT_TRUE(quote.ok());
   EXPECT_EQ(quote->remaining, 0);
   EXPECT_EQ(quote->binding_slack, -30);
@@ -72,13 +87,12 @@ TEST(CapacityTest, RejectsBadSets) {
       set.Add(MakeRedistribution(schema, "LD1", {{0, 20}}, 100)).ok());
   ASSERT_TRUE(
       set.Add(MakeRedistribution(schema, "LD2", {{100, 120}}, 50)).ok());
-  const LicenseGrouping grouping = LicenseGrouping::FromLicenses(set);
-  ValidationTree tree;
-  EXPECT_FALSE(RemainingCapacity(set, grouping, tree, testing::Mask(0)).ok());
-  EXPECT_FALSE(
-      RemainingCapacity(set, grouping, tree, LicenseSet::Singleton(9)).ok());
+  const std::unique_ptr<IssuanceService> service =
+      ServiceWithHistory(&set, LicenseSet(), 0);
+  EXPECT_FALSE(service->Headroom(testing::Mask(0)).ok());
+  EXPECT_FALSE(service->Headroom(LicenseSet::Singleton(9)).ok());
   // {L1, L2} spans the two (disjoint) groups.
-  EXPECT_FALSE(RemainingCapacity(set, grouping, tree, testing::Mask(0b11)).ok());
+  EXPECT_FALSE(service->Headroom(testing::Mask(0b11)).ok());
 }
 
 // Property: the quote is exactly the acceptance threshold of the online
@@ -106,8 +120,6 @@ TEST(CapacityPropertyTest, QuoteMatchesOnlineAcceptanceBoundary) {
           generator.DrawUsageLicense(*workload, parent, &rng, i));
     }
     const LogStore history = (*online)->CollectLog();
-    const Result<ValidationTree> tree = (*online)->CollectTree();
-    ASSERT_TRUE(tree.ok());
 
     // For random usage rects, the capacity quote equals the acceptance
     // boundary.
@@ -119,8 +131,7 @@ TEST(CapacityPropertyTest, QuoteMatchesOnlineAcceptanceBoundary) {
           generator.DrawUsageLicense(*workload, parent, &rng, 10000 + trial);
       const LicenseSet set = instance.SatisfyingSet(probe);
       ASSERT_FALSE(set.Empty());
-      const Result<CapacityQuote> quote = RemainingCapacity(
-          *workload->licenses, (*online)->grouping(), *tree, set);
+      const Result<CapacityQuote> quote = (*online)->Headroom(set);
       ASSERT_TRUE(quote.ok());
       if (quote->remaining == 0) {
         continue;  // Nothing issuable; rejection is covered below anyway.
@@ -144,6 +155,117 @@ TEST(CapacityPropertyTest, QuoteMatchesOnlineAcceptanceBoundary) {
                                              history);
       ASSERT_TRUE(scratch2.ok());
       EXPECT_FALSE((*scratch2)->TryIssue(past_boundary)->accepted());
+    }
+  }
+}
+
+// The capacity loop Headroom replaced, kept as its oracle: the first least
+// A[T] − C⟨T⟩ over S ⊆ T ⊆ S's scope (ascending), from the collected tree
+// and the catalog's aggregate sums.
+CapacityQuote CapacityLoop(const IssuanceService& service,
+                           const ValidationTree& tree, const LicenseSet& s) {
+  LicenseSet scope = service.licenses().AllMask();
+  if (service.options().use_grouping) {
+    const LicenseGrouping& grouping = service.grouping();
+    scope = grouping.GroupMask(grouping.GroupOf(s.Lowest()));
+  }
+  CapacityQuote quote;
+  bool first = true;
+  for (AscendingSubsetIterator it(scope - s); !it.Done(); it.Next()) {
+    const LicenseSet t = s | it.subset();
+    const int64_t slack =
+        service.licenses().AggregateSum(t) - tree.SumSubsets(t);
+    if (first || slack < quote.binding_slack) {
+      quote.binding_set = t;
+      quote.binding_slack = slack;
+      first = false;
+    }
+  }
+  quote.remaining = std::max<int64_t>(0, quote.binding_slack);
+  return quote;
+}
+
+// Property: across random admissions interleaved with acquire, revoke and
+// expire, Headroom({i}) for every license equals the capacity loop over
+// CollectTree() — grouped, striped over two shards (carried shards that
+// gain an acquired singleton) and ungrouped.
+TEST(HeadroomPropertyTest, MatchesCapacityLoopAcrossLifecycle) {
+  const ConstraintSchema schema = IntervalSchema(1);
+  struct Variant {
+    bool use_grouping;
+    int shard_hint;
+  };
+  for (const Variant variant : {Variant{true, 0}, Variant{true, 2},
+                                Variant{false, 0}}) {
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+      Rng rng(seed);
+      int next_id = 0;
+      const auto random_license = [&] {
+        const int64_t lo = rng.UniformInt(0, 160);
+        return MakeRedistribution(schema, "L" + std::to_string(++next_id),
+                                  {{lo, lo + rng.UniformInt(8, 40)}},
+                                  rng.UniformInt(4, 30));
+      };
+      LicenseCatalog licenses(&schema);
+      for (int i = 0; i < 8; ++i) {
+        ASSERT_TRUE(licenses.Add(random_license()).ok());
+      }
+      OnlineValidatorOptions options;
+      options.use_grouping = variant.use_grouping;
+      options.shard_hint = variant.shard_hint;
+      Result<std::unique_ptr<IssuanceService>> created =
+          IssuanceService::Create(&licenses, options);
+      ASSERT_TRUE(created.ok());
+      IssuanceService& service = **created;
+
+      for (int step = 0; step < 150; ++step) {
+        const int size = service.licenses().size();
+        const double op = rng.UniformDouble();
+        if (op < 0.75) {
+          const HyperRect& parent =
+              service.licenses()
+                  .at(static_cast<int>(rng.UniformInt(0, size - 1)))
+                  .rect();
+          const int64_t lo = parent.dim(0).interval().lo();
+          const int64_t hi = parent.dim(0).interval().hi();
+          const int64_t at = rng.UniformInt(lo, hi);
+          ASSERT_TRUE(service
+                          .TryIssue(MakeUsage(
+                              schema, "U" + std::to_string(step),
+                              {{at, std::min(hi, at + rng.UniformInt(0, 6))}},
+                              rng.UniformInt(1, 4)))
+                          .ok());
+        } else if (op < 0.85) {
+          if (size < 16) {
+            ASSERT_TRUE(service.AcquireLicense(random_license()).ok());
+          }
+        } else if (op < 0.95) {
+          if (size > 1) {
+            ASSERT_TRUE(service
+                            .RevokeLicense(static_cast<int>(
+                                rng.UniformInt(0, size - 1)))
+                            .ok());
+          }
+        } else {
+          // Expire whatever ends below a cutoff; removing every license is
+          // refused and changes nothing.
+          (void)service.ExpireDimensionBelow(0, rng.UniformInt(0, 80));
+        }
+
+        const Result<ValidationTree> tree = service.CollectTree();
+        ASSERT_TRUE(tree.ok());
+        for (int i = 0; i < service.licenses().size(); ++i) {
+          const LicenseSet s = LicenseSet::Singleton(i);
+          const Result<CapacityQuote> got = service.Headroom(s);
+          ASSERT_TRUE(got.ok());
+          const CapacityQuote want = CapacityLoop(service, *tree, s);
+          ASSERT_EQ(got->binding_set, want.binding_set)
+              << "seed " << seed << " step " << step << " license " << i;
+          ASSERT_EQ(got->binding_slack, want.binding_slack)
+              << "seed " << seed << " step " << step << " license " << i;
+          ASSERT_EQ(got->remaining, want.remaining);
+        }
+      }
     }
   }
 }

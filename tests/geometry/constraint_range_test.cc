@@ -70,20 +70,13 @@ TEST(ConstraintRangeTest, BoundingIntervalForIntervalIsIdentity) {
   EXPECT_EQ(range.BoundingInterval(), Interval(-3, 12));
 }
 
-TEST(ConstraintRangeTest, BoundingIntervalForCategoriesSpansBits) {
-  // Bits 1 and 5 set → bounding interval [1, 5].
-  const ConstraintRange range{CategorySet(0b100010)};
-  EXPECT_EQ(range.BoundingInterval(), Interval(1, 5));
-  EXPECT_TRUE(
-      ConstraintRange(CategorySet::Empty()).BoundingInterval().empty());
-}
-
 TEST(ConstraintRangeTest, BoundingIntervalIsOverApproximation) {
-  // {bit0, bit5} and {bit2} do not overlap as sets, but their bounding
+  // [0,0]∪[5,5] and [2,2] do not overlap as sets, but their bounding
   // intervals [0,5] and [2,2] do — anything indexed by bounding intervals
   // must treat its answers as candidates only.
-  const ConstraintRange sparse{CategorySet(0b100001)};
-  const ConstraintRange middle{CategorySet(0b000100)};
+  const ConstraintRange sparse{
+      MultiInterval::FromIntervals({Interval(0, 0), Interval(5, 5)})};
+  const ConstraintRange middle{Interval(2, 2)};
   EXPECT_FALSE(sparse.Overlaps(middle));
   EXPECT_TRUE(sparse.BoundingInterval().Overlaps(middle.BoundingInterval()));
 }

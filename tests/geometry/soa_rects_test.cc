@@ -8,6 +8,7 @@
 
 #include "geometry/hyper_rect.h"
 #include "util/cpu_dispatch.h"
+#include "util/simd_kernels.h"
 #include "util/license_set.h"
 #include "util/random.h"
 
@@ -129,6 +130,59 @@ TEST(SoaRectsTest, FuzzEquivalenceAcrossTiersMatchesHyperRect) {
       // LicenseSet::FromWords, which requires canonical padding).
       for (size_t j = n; j < SoaRects::WordsFor(n) * 64; ++j) {
         ASSERT_FALSE((contain[j / 64] >> (j % 64)) & 1);
+      }
+    }
+  }
+}
+
+// The kernels against their plain predicates on every pairing of boundary
+// values — where compare and zero-test identities that avoid a branch
+// could overflow or lose a sign.
+TEST(SoaRectsTest, KernelsMatchPredicatesAtInt64Extremes) {
+  const std::vector<int64_t> values = {kInt64Min, kInt64Min + 1, -2, -1, 0,
+                                       1, 2, kInt64Max - 1, kInt64Max};
+  std::vector<int64_t> lo;
+  std::vector<int64_t> hi;
+  for (int64_t a : values) {
+    for (int64_t b : values) {
+      lo.push_back(a);
+      hi.push_back(b);
+    }
+  }
+  std::vector<uint64_t> masks = {0, 1, 2, 3, ~uint64_t{0},
+                                 uint64_t{1} << 63, 0x5555};
+  const size_t n = lo.size();
+  const size_t mask_count = masks.size();
+  // Vector tiers load whole registers: pad to kColumnPad with fail-closed
+  // cells, as SoaRects does.
+  const auto padded = [](size_t size) {
+    return (size + simd::kColumnPad - 1) / simd::kColumnPad *
+           simd::kColumnPad;
+  };
+  lo.resize(padded(n), kInt64Max);
+  hi.resize(padded(n), kInt64Min);
+  masks.resize(padded(mask_count), 0);
+  for (const simd::Tier tier : AvailableTiers()) {
+    const simd::Kernels& kernels = simd::KernelsForTier(tier);
+    for (int64_t q_lo : values) {
+      for (int64_t q_hi : values) {
+        std::vector<uint64_t> out((n + 63) / 64, ~uint64_t{0});
+        kernels.interval_contain(lo.data(), hi.data(), n, q_lo, q_hi,
+                                 out.data());
+        for (size_t j = 0; j < n; ++j) {
+          const bool want = lo[j] <= q_lo && q_hi <= hi[j];
+          EXPECT_EQ(((out[j / 64] >> (j % 64)) & 1) != 0, want)
+              << kernels.name << " item " << j << " query [" << q_lo << ", "
+              << q_hi << "]";
+        }
+      }
+    }
+    for (uint64_t q_mask : masks) {
+      uint64_t out = ~uint64_t{0};
+      kernels.mask_superset(masks.data(), mask_count, q_mask, &out);
+      for (size_t j = 0; j < mask_count; ++j) {
+        EXPECT_EQ(((out >> j) & 1) != 0, (q_mask & ~masks[j]) == 0)
+            << kernels.name << " mask " << j << " query " << q_mask;
       }
     }
   }

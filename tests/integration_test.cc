@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/incremental_auditor.h"
 #include "drm/validation_authority.h"
 #include "licensing/license_parser.h"
 #include "service/issuance_service.h"
@@ -178,40 +177,6 @@ TEST(IntegrationTest, TextRoundTripPreservesValidation) {
   EXPECT_EQ(grouping_a.components().components,
             grouping_b.components().components);
   EXPECT_EQ(original.AggregateCounts(), reparsed.AggregateCounts());
-}
-
-// Invariant: incremental auditing over an authority-style stream matches a
-// final full audit even when licenses trickle in between batches is NOT
-// supported (grouping fixed at creation) — but over a fixed license set,
-// batch-by-batch ingestion matches the one-shot grouped validator.
-TEST(IntegrationTest, IncrementalAndGroupedAgreeOnGeneratedStream) {
-  WorkloadConfig config = PaperSweepConfig(14, 7);
-  config.num_records = 1200;
-  config.aggregate_min = 80;
-  config.aggregate_max = 900;
-  Result<Workload> workload = WorkloadGenerator(config).Generate();
-  ASSERT_TRUE(workload.ok());
-
-  Result<IncrementalAuditor> auditor =
-      IncrementalAuditor::Create(workload->licenses.get());
-  ASSERT_TRUE(auditor.ok());
-  std::map<LicenseSet, EquationResult> last;
-  const auto& records = workload->log.records();
-  for (size_t i = 0; i < records.size(); i += 113) {
-    const size_t end = std::min(records.size(), i + 113);
-    const std::vector<LogRecord> batch(
-        records.begin() + static_cast<long>(i),
-        records.begin() + static_cast<long>(end));
-    const Result<ValidationReport> report = auditor->IngestBatch(batch);
-    ASSERT_TRUE(report.ok());
-    for (const EquationResult& violation : report->violations) {
-      last[violation.set] = violation;
-    }
-  }
-  const Result<ValidationOutcome> full =
-      testing::GroupedAudit(*workload->licenses, workload->log);
-  ASSERT_TRUE(full.ok());
-  EXPECT_EQ(last.size(), full->report.violations.size());
 }
 
 // Invariant: an authority full checkpoint reproduces identical audits.

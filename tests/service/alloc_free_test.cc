@@ -13,7 +13,7 @@
 
 // Proves the steady-state admission path is zero-malloc: after a warmup
 // that touches every lazily-allocated structure (arena blocks, LicenseSet
-// span pool, first-seen tree nodes, reserved log capacity), repeating the
+// span pool, reserved log capacity), repeating the
 // same request mix through TryIssue and the span TryIssueBatch overload
 // performs no heap allocation at all.
 //
@@ -114,10 +114,9 @@ TEST(AllocFreeTest, SteadyStateTryIssuePerformsNoHeapAllocation) {
   // admitted via TryIssue and again via the batch).
   service.ReserveLogCapacity(4 * (kWarmup + kSteady));
 
-  // Request mix built up front (License construction allocates); the same
-  // three satisfying-set shapes repeat, so warmup inserts every tree node
-  // steady state will touch. The out-of-range request exercises the
-  // instance-reject path.
+  // Request mix built up front (License construction allocates); admission
+  // only updates preallocated slack tables and the reserved log. The
+  // out-of-range request exercises the instance-reject path.
   std::vector<License> requests;
   requests.push_back(MakeUsage(schema, "U-a", {{12, 18}}, 1));   // {L1, L2}
   requests.push_back(MakeUsage(schema, "U-b", {{2, 8}}, 1));     // {L1}
