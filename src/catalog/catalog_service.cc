@@ -326,9 +326,11 @@ Status CatalogService::EnsureResidentLocked(Tenant* tenant) {
   }
 
   tenant->resident = true;
-  tenant->approx_bytes = ApproxTenantBytes(
-      static_cast<size_t>(tenant->licenses->size()),
-      tenant->service->CollectLog().size());
+  tenant->table_bytes = tenant->service->slack_table_bytes();
+  tenant->approx_bytes =
+      ApproxTenantBytes(static_cast<size_t>(tenant->licenses->size()),
+                        tenant->service->CollectLog().size()) +
+      tenant->table_bytes;
   LruShard& shard = ShardFor(tenant->tenant_id);
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
@@ -398,12 +400,23 @@ Status CatalogService::SpillLocked(Tenant* tenant, bool evicting) {
   shard.resident_bytes.fetch_sub(tenant->approx_bytes,
                                  std::memory_order_relaxed);
   tenant->approx_bytes = 0;
+  tenant->table_bytes = 0;
   resident_tenants_.fetch_sub(1, std::memory_order_relaxed);
   spills_.fetch_add(1, std::memory_order_relaxed);
   if (evicting) {
     evictions_.fetch_add(1, std::memory_order_relaxed);
   }
   return Status::Ok();
+}
+
+void CatalogService::RetallyTablesLocked(Tenant* tenant) {
+  const size_t tables = tenant->service->slack_table_bytes();
+  // Unsigned wrap-around turns a shrink into the matching subtraction.
+  ShardFor(tenant->tenant_id)
+      .resident_bytes.fetch_add(tables - tenant->table_bytes,
+                                std::memory_order_relaxed);
+  tenant->approx_bytes = tenant->approx_bytes - tenant->table_bytes + tables;
+  tenant->table_bytes = tables;
 }
 
 void CatalogService::MaybeEvict(LruShard& shard) {
@@ -555,6 +568,7 @@ Result<int> CatalogService::AcquireLicense(uint64_t tenant_id,
     tenant->approx_bytes += kLicenseBytes;
     ShardFor(tenant_id).resident_bytes.fetch_add(kLicenseBytes,
                                                  std::memory_order_relaxed);
+    RetallyTablesLocked(tenant.get());
     return index;
   }();
   MaybeEvict(ShardFor(tenant_id));
@@ -572,7 +586,9 @@ Status CatalogService::RevokeLicenseById(uint64_t tenant_id,
     frame.op = TenantOpKind::kRevoke;
     frame.revoke_id = id;
     GEOLIC_RETURN_IF_ERROR(JournalOpLocked(tenant.get(), &frame));
-    return tenant->service->RevokeLicenseById(id);
+    const Status revoked = tenant->service->RevokeLicenseById(id);
+    RetallyTablesLocked(tenant.get());
+    return revoked;
   }();
   MaybeEvict(ShardFor(tenant_id));
   return result;
@@ -590,7 +606,9 @@ Result<int> CatalogService::ExpireDimensionBelow(uint64_t tenant_id, int dim,
     frame.expire_dim = dim;
     frame.expire_cutoff = cutoff;
     GEOLIC_RETURN_IF_ERROR(JournalOpLocked(tenant.get(), &frame));
-    return tenant->service->ExpireDimensionBelow(dim, cutoff);
+    Result<int> removed = tenant->service->ExpireDimensionBelow(dim, cutoff);
+    RetallyTablesLocked(tenant.get());
+    return removed;
   }();
   MaybeEvict(ShardFor(tenant_id));
   return result;

@@ -68,7 +68,8 @@ struct CatalogOptions {
   std::string dir;
 
   // Resident-tenant memory budget (approximate accounting: a fixed base
-  // per tenant + per-license + per-record costs). Split evenly across the
+  // per tenant + per-license + per-record costs + the tenant service's
+  // slack tables, 8 bytes per equation). Split evenly across the
   // LRU shards; each shard always keeps at least its most recent tenant
   // resident, so the effective floor is `lru_shards` tenants.
   size_t memory_budget_bytes = 64ull << 20;
@@ -228,6 +229,9 @@ class CatalogService {
     // Last journaled per-tenant op sequence (0 = none yet).
     uint64_t tenant_seq = 0;
     size_t approx_bytes = 0;
+    // The slack-table share of approx_bytes (IssuanceService::
+    // slack_table_bytes() when last tallied).
+    size_t table_bytes = 0;
   };
 
   struct LruShard {
@@ -301,6 +305,12 @@ class CatalogService {
 
   // Moves `tenant_id` to its shard's LRU front (must be resident).
   void TouchLru(LruShard& shard, uint64_t tenant_id);
+
+  // Re-reads a resident tenant's slack-table footprint after a
+  // reconfiguration (a merge grows a scope's table 2^k-fold, a split
+  // shrinks it) and moves the difference into approx_bytes and its
+  // shard's resident total. Caller holds tenant->mutex.
+  void RetallyTablesLocked(Tenant* tenant);
 
   // Spills LRU-tail tenants of `shard` until it fits its budget slice
   // (always keeping one resident). Never called with a tenant mutex held.

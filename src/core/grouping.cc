@@ -46,24 +46,6 @@ LicenseSet LicenseGrouping::LocalToOriginalMask(int group,
   return original;
 }
 
-Result<LicenseSet> LicenseGrouping::OriginalToLocalMask(
-    int group, LicenseSet mask) const {
-  if (group < 0 || group >= group_count()) {
-    return Status::OutOfRange("group index out of range: " +
-                              std::to_string(group));
-  }
-  if (!mask.IsSubsetOf(GroupMask(group))) {
-    return Status::InvalidArgument("mask " + (mask).ToString() +
-                                   " is not contained in group " +
-                                   std::to_string(group));
-  }
-  LicenseSet local;
-  for (int index : mask.Indexes()) {
-    local |= LicenseSet::Singleton(PositionOf(index));
-  }
-  return local;
-}
-
 Result<std::vector<int64_t>> LicenseGrouping::GroupAggregates(
     int group, const std::vector<int64_t>& aggregates) const {
   if (group < 0 || group >= group_count()) {

@@ -59,10 +59,6 @@ class LicenseGrouping {
   // license indexes.
   LicenseSet LocalToOriginalMask(int group, LicenseSet local) const;
 
-  // Translates a mask of original indexes (which must all lie in `group`)
-  // to local positions.
-  Result<LicenseSet> OriginalToLocalMask(int group, LicenseSet mask) const;
-
   // Algorithm 5's A_k: per-group aggregate array in local position order,
   // derived from the full array A (A[j] = aggregate of license j).
   Result<std::vector<int64_t>> GroupAggregates(

@@ -697,10 +697,10 @@ void CheckRecoveredCounts(
   RunInvariantSweep(state, "after adopting recovered in-flight record");
 }
 
-// Final conformance: service snapshots (log, tree, flat tree) against the
-// model, then a full crash-recovery round trip from the journal platter
-// plus the newest checkpoint, then a short single-threaded continuation on
-// the recovered service.
+// Final conformance: service snapshots (log, slack tables, tree, flat
+// tree) against the model, then a full crash-recovery round trip from the
+// journal platter plus the newest checkpoint, then a short single-threaded
+// continuation on the recovered service.
 void FinalChecks(SimState* state, const SimConfig& config,
                  const OnlineValidatorOptions& options) {
   if (state->failure.empty() && !state->batch_error) {
@@ -721,6 +721,14 @@ void FinalChecks(SimState* state, const SimConfig& config,
   }
   if (state->failure.empty()) {
     const Result<ValidationTree> tree = state->service->CollectTree();
+    // The slack tables admission decided on, against the log just checked
+    // against the model.
+    const Status tables = tree.ok() ? state->service->CheckTables(*tree)
+                                    : tree.status();
+    if (!tables.ok()) {
+      Fail(state, std::string("slack tables diverge from the log: ") +
+                      tables.message());
+    }
     const Result<FlatValidationTree> flat =
         tree.ok() ? FlatValidationTree::Compile(*tree)
                   : Result<FlatValidationTree>(tree.status());

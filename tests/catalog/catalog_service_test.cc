@@ -1,6 +1,7 @@
 // Unit coverage for the multi-tenant catalog front door
 // (catalog/catalog_service.h): lazy compilation and hit accounting, LRU
-// eviction under a tiny budget, explicit spill/reload transparency, and
+// eviction under a tiny budget (and under a budget a wide overlap group's
+// slack table exceeds), explicit spill/reload transparency, and
 // journal-backed crash recovery of an evolved tenant.
 #include <unistd.h>
 
@@ -298,6 +299,75 @@ TEST_F(CatalogServiceTest, WriterRoutingIsStablePerTenant) {
     EXPECT_LT(writer, options_.journal_writers);
     EXPECT_EQ(writer, (*catalog)->WriterIndexForTenant(tenant));
   }
+  EXPECT_TRUE((*catalog)->Close().ok());
+}
+
+// Tenant 0 holds kWideLicenses pairwise-overlapping licenses (one overlap
+// group, so one 2^kWideLicenses-entry slack table); every other tenant
+// comes from `others`.
+constexpr int kWideLicenses = 16;
+
+class WideTenantSource : public TenantSource {
+ public:
+  explicit WideTenantSource(TenantSource* others) : others_(others) {}
+
+  Result<Workload> MakeTenant(uint64_t tenant_id) override {
+    if (tenant_id != 0) {
+      return others_->MakeTenant(tenant_id);
+    }
+    WorkloadConfig config;
+    config.num_licenses = kWideLicenses;
+    config.dimensions = 2;
+    config.num_clusters = 1;
+    // Intervals longer than half the slab overlap in every dimension.
+    config.min_extent = 0.6;
+    config.max_extent = 0.9;
+    return WorkloadGenerator(config).GenerateLicensesOnly();
+  }
+
+ private:
+  TenantSource* others_;
+};
+
+TEST_F(CatalogServiceTest, WideGroupTablesCountAgainstTheBudget) {
+  WideTenantSource source(source_.get());
+  // Room for every small tenant, not for one 16-license group's table.
+  constexpr size_t kBudget = 256 * 1024;
+  constexpr size_t kWideTable = sizeof(int64_t) << kWideLicenses;
+  options_.memory_budget_bytes = kBudget;
+  Result<std::unique_ptr<CatalogService>> catalog =
+      CatalogService::Create(&source, options_);
+  ASSERT_TRUE(catalog.ok());
+
+  ASSERT_TRUE((*catalog)->TenantEpoch(0).ok());
+  CatalogStats stats = (*catalog)->stats();
+  EXPECT_EQ(stats.resident_tenants, 1u);
+  EXPECT_GE(stats.resident_bytes, kWideTable);
+
+  // Revoking one license halves the group's table.
+  Result<Workload> wide = source.MakeTenant(0);
+  ASSERT_TRUE(wide.ok());
+  ASSERT_TRUE(
+      (*catalog)->RevokeLicenseById(0, wide->licenses->at(0).id()).ok());
+  EXPECT_EQ(stats.resident_bytes - (*catalog)->stats().resident_bytes,
+            kWideTable / 2);
+
+  // The first small tenant pushes the shard over budget: the wide tenant,
+  // least recently used, is evicted, and the small ones then fit together.
+  for (uint64_t tenant = 1; tenant < 4; ++tenant) {
+    ASSERT_TRUE((*catalog)->TryIssue(tenant, Request(tenant)).ok());
+  }
+  stats = (*catalog)->stats();
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_EQ(stats.resident_tenants, 3u);
+  EXPECT_LE(stats.resident_bytes, kBudget);
+
+  // Reloaded from its spill, the wide tenant again outweighs them all.
+  ASSERT_TRUE((*catalog)->TenantEpoch(0).ok());
+  stats = (*catalog)->stats();
+  EXPECT_EQ(stats.loads, 1u);
+  EXPECT_EQ(stats.evictions, 4u);
+  EXPECT_EQ(stats.resident_tenants, 1u);
   EXPECT_TRUE((*catalog)->Close().ok());
 }
 

@@ -103,12 +103,6 @@ TEST(LicenseGroupingTest, MaskTranslation) {
   // Local {pos0, pos2} of group 0 = original {L1, L4}.
   EXPECT_EQ(grouping.LocalToOriginalMask(0, testing::Mask(0b101)), testing::Mask(0b01001));
   EXPECT_EQ(grouping.LocalToOriginalMask(1, testing::Mask(0b11)), testing::Mask(0b10100));
-  // Inverse.
-  EXPECT_EQ(*grouping.OriginalToLocalMask(0, testing::Mask(0b01001)), testing::Mask(0b101));
-  EXPECT_EQ(*grouping.OriginalToLocalMask(1, testing::Mask(0b10100)), testing::Mask(0b11));
-  // Original mask crossing groups is rejected.
-  EXPECT_FALSE(grouping.OriginalToLocalMask(0, testing::Mask(0b00101)).ok());
-  EXPECT_FALSE(grouping.OriginalToLocalMask(5, testing::Mask(0b1)).ok());
 }
 
 TEST(LicenseGroupingTest, GroupAggregatesFollowsLocalOrder) {

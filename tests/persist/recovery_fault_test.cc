@@ -489,6 +489,10 @@ TEST(RecoveryFaultTest, JournalFailureRejectsAdmissionAndLeavesStateClean) {
   EXPECT_EQ((*service)->CollectTree()->ToString(), before);
   EXPECT_EQ((*service)->CollectLog().size(), log_before);
   EXPECT_EQ((*service)->journal_sequence(), 1u);
+  // Nor the slack tables: they still match the unchanged log.
+  const Status tables = (*service)->CheckTables(
+      *ValidationTree::BuildFromLog((*service)->CollectLog()));
+  EXPECT_TRUE(tables.ok()) << tables.message();
 }
 
 TEST(RecoveryFaultTest, RecoverFromJournalAloneMatchesSerialReplay) {
@@ -611,6 +615,9 @@ TEST(RecoveryFaultTest, RecoverAfterTornFinalFrameDropsOnlyThatFrame) {
   // Exactly the pre-crash accepted set — the torn admission is absent from
   // both the pre-crash service state and the recovered one.
   EXPECT_EQ((*recovered)->CollectTree()->ToString(), tree_before_crash);
+  const Status tables =
+      (*service)->CheckTables(*(*recovered)->CollectTree());
+  EXPECT_TRUE(tables.ok()) << tables.message();
 }
 
 TEST(RecoveryFaultTest, RecoverRejectsCorruptJournalLoudly) {
