@@ -2,7 +2,6 @@
 
 #include <filesystem>
 #include <map>
-#include <sstream>
 #include <utility>
 
 #include "licensing/license_serialization.h"
@@ -30,8 +29,10 @@ uint64_t MixId(uint64_t id) {
   return z ^ (z >> 31);
 }
 
-size_t ApproxTenantBytes(size_t licenses, size_t records) {
-  return kTenantBaseBytes + licenses * kLicenseBytes + records * kRecordBytes;
+size_t ApproxTenantBytes(const IssuanceService& service) {
+  return kTenantBaseBytes +
+         static_cast<size_t>(service.licenses().size()) * kLicenseBytes +
+         service.record_count() * kRecordBytes + service.slack_table_bytes();
 }
 
 std::string TenantLabel(uint64_t tenant_id) {
@@ -246,9 +247,8 @@ Status CatalogService::LoadSpillLocked(Tenant* tenant,
   std::unique_ptr<ConstraintSchema> schema = std::move(baseline.schema);
   auto catalog = std::make_unique<LicenseCatalog>(schema.get());
 
-  std::istringstream in(payload.substr(pos));
   for (uint32_t i = 0; i < license_count; ++i) {
-    auto license = ReadLicenseBinary(&in);
+    auto license = ReadLicenseBinary(payload, &pos);
     if (!license.ok()) {
       return fail("license " + std::to_string(i) + ": " +
                   license.status().message());
@@ -259,11 +259,6 @@ Status CatalogService::LoadSpillLocked(Tenant* tenant,
                   added.status().message());
     }
   }
-  const std::streampos consumed = in.tellg();
-  if (consumed < 0) {
-    return fail("license section lost stream position");
-  }
-  pos += static_cast<size_t>(consumed);
 
   uint64_t record_count = 0;
   if (!framing::GetScalar(payload, &pos, &record_count)) {
@@ -326,11 +321,7 @@ Status CatalogService::EnsureResidentLocked(Tenant* tenant) {
   }
 
   tenant->resident = true;
-  tenant->table_bytes = tenant->service->slack_table_bytes();
-  tenant->approx_bytes =
-      ApproxTenantBytes(static_cast<size_t>(tenant->licenses->size()),
-                        tenant->service->CollectLog().size()) +
-      tenant->table_bytes;
+  tenant->approx_bytes = ApproxTenantBytes(*tenant->service);
   LruShard& shard = ShardFor(tenant->tenant_id);
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
@@ -343,8 +334,7 @@ Status CatalogService::EnsureResidentLocked(Tenant* tenant) {
   return Status::Ok();
 }
 
-Result<std::string> CatalogService::EncodeSpillLocked(
-    const Tenant& tenant) const {
+std::string CatalogService::EncodeSpillLocked(const Tenant& tenant) const {
   std::string payload;
   framing::PutScalar<uint32_t>(&payload, kSpillVersion);
   framing::PutScalar<uint64_t>(&payload, tenant.tenant_id);
@@ -356,11 +346,9 @@ Result<std::string> CatalogService::EncodeSpillLocked(
       tenant.service->licenses().licenses();
   framing::PutScalar<uint32_t>(&payload,
                                static_cast<uint32_t>(licenses.size()));
-  std::ostringstream blob;
   for (const License& license : licenses) {
-    GEOLIC_RETURN_IF_ERROR(WriteLicenseBinary(license, &blob));
+    AppendLicenseBinary(license, &payload);
   }
-  payload += blob.str();
 
   const LogStore log = tenant.service->CollectLog();
   framing::PutScalar<uint64_t>(&payload, static_cast<uint64_t>(log.size()));
@@ -375,7 +363,7 @@ Status CatalogService::SpillLocked(Tenant* tenant, bool evicting) {
     return Status::Ok();
   }
   ScopedTracerSpan span(options_.tracer, TraceStage::kCatalogEvict);
-  GEOLIC_ASSIGN_OR_RETURN(std::string payload, EncodeSpillLocked(*tenant));
+  const std::string payload = EncodeSpillLocked(*tenant);
   // Durable atomic publish (temp + fsync + rename + dir fsync): recovery
   // truncates the journal pool on the strength of these files, and live
   // eviction replaces the previous good spill — a torn or page-cache-only
@@ -400,7 +388,6 @@ Status CatalogService::SpillLocked(Tenant* tenant, bool evicting) {
   shard.resident_bytes.fetch_sub(tenant->approx_bytes,
                                  std::memory_order_relaxed);
   tenant->approx_bytes = 0;
-  tenant->table_bytes = 0;
   resident_tenants_.fetch_sub(1, std::memory_order_relaxed);
   spills_.fetch_add(1, std::memory_order_relaxed);
   if (evicting) {
@@ -409,14 +396,13 @@ Status CatalogService::SpillLocked(Tenant* tenant, bool evicting) {
   return Status::Ok();
 }
 
-void CatalogService::RetallyTablesLocked(Tenant* tenant) {
-  const size_t tables = tenant->service->slack_table_bytes();
+void CatalogService::RetallyLocked(Tenant* tenant) {
+  const size_t bytes = ApproxTenantBytes(*tenant->service);
   // Unsigned wrap-around turns a shrink into the matching subtraction.
   ShardFor(tenant->tenant_id)
-      .resident_bytes.fetch_add(tables - tenant->table_bytes,
+      .resident_bytes.fetch_add(bytes - tenant->approx_bytes,
                                 std::memory_order_relaxed);
-  tenant->approx_bytes = tenant->approx_bytes - tenant->table_bytes + tables;
-  tenant->table_bytes = tables;
+  tenant->approx_bytes = bytes;
 }
 
 void CatalogService::MaybeEvict(LruShard& shard) {
@@ -565,10 +551,7 @@ Result<int> CatalogService::AcquireLicense(uint64_t tenant_id,
     GEOLIC_RETURN_IF_ERROR(JournalOpLocked(tenant.get(), &frame));
     GEOLIC_ASSIGN_OR_RETURN(int index,
                             tenant->service->AcquireLicense(license));
-    tenant->approx_bytes += kLicenseBytes;
-    ShardFor(tenant_id).resident_bytes.fetch_add(kLicenseBytes,
-                                                 std::memory_order_relaxed);
-    RetallyTablesLocked(tenant.get());
+    RetallyLocked(tenant.get());
     return index;
   }();
   MaybeEvict(ShardFor(tenant_id));
@@ -587,7 +570,7 @@ Status CatalogService::RevokeLicenseById(uint64_t tenant_id,
     frame.revoke_id = id;
     GEOLIC_RETURN_IF_ERROR(JournalOpLocked(tenant.get(), &frame));
     const Status revoked = tenant->service->RevokeLicenseById(id);
-    RetallyTablesLocked(tenant.get());
+    RetallyLocked(tenant.get());
     return revoked;
   }();
   MaybeEvict(ShardFor(tenant_id));
@@ -607,7 +590,7 @@ Result<int> CatalogService::ExpireDimensionBelow(uint64_t tenant_id, int dim,
     frame.expire_cutoff = cutoff;
     GEOLIC_RETURN_IF_ERROR(JournalOpLocked(tenant.get(), &frame));
     Result<int> removed = tenant->service->ExpireDimensionBelow(dim, cutoff);
-    RetallyTablesLocked(tenant.get());
+    RetallyLocked(tenant.get());
     return removed;
   }();
   MaybeEvict(ShardFor(tenant_id));

@@ -228,10 +228,9 @@ class CatalogService {
     uint64_t epoch_base = 0;
     // Last journaled per-tenant op sequence (0 = none yet).
     uint64_t tenant_seq = 0;
+    // Modelled residency cost (ApproxTenantBytes of the live license and
+    // record counts plus the slack tables), counted in the shard's total.
     size_t approx_bytes = 0;
-    // The slack-table share of approx_bytes (IssuanceService::
-    // slack_table_bytes() when last tallied).
-    size_t table_bytes = 0;
   };
 
   struct LruShard {
@@ -301,16 +300,17 @@ class CatalogService {
 
   // Serializes a resident tenant's state into a spill payload. Caller
   // holds tenant->mutex.
-  Result<std::string> EncodeSpillLocked(const Tenant& tenant) const;
+  std::string EncodeSpillLocked(const Tenant& tenant) const;
 
   // Moves `tenant_id` to its shard's LRU front (must be resident).
   void TouchLru(LruShard& shard, uint64_t tenant_id);
 
-  // Re-reads a resident tenant's slack-table footprint after a
-  // reconfiguration (a merge grows a scope's table 2^k-fold, a split
-  // shrinks it) and moves the difference into approx_bytes and its
-  // shard's resident total. Caller holds tenant->mutex.
-  void RetallyTablesLocked(Tenant* tenant);
+  // Re-derives a resident tenant's approx_bytes after a reconfiguration
+  // (an acquire adds a license, a revoke or expire removes licenses and
+  // cascades records, a merge grows a scope's table 2^k-fold, a split
+  // shrinks it) and moves the difference into its shard's resident
+  // total. O(groups), never O(log). Caller holds tenant->mutex.
+  void RetallyLocked(Tenant* tenant);
 
   // Spills LRU-tail tenants of `shard` until it fits its budget slice
   // (always keeping one resident). Never called with a tenant mutex held.

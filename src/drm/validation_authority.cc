@@ -5,12 +5,19 @@
 #include <utility>
 
 #include "licensing/license_serialization.h"
+#include "persist/framing.h"
+#include "persist/sync_file.h"
 
 namespace geolic {
 namespace {
 
+using framing::GetScalar;
+using framing::PutScalar;
+
 constexpr char kCheckpointMagic[8] = {'G', 'L', 'A', 'U', 'T', 'H', '1',
                                       '\0'};
+constexpr char kFullCheckpointMagic[8] = {'G', 'L', 'A', 'U', 'T', 'H', '2',
+                                          '\0'};
 
 // The paper's offline audit: grouped validation of one domain's log.
 Result<ValidationOutcome> AuditLog(const LicenseCatalog& licenses,
@@ -20,24 +27,85 @@ Result<ValidationOutcome> AuditLog(const LicenseCatalog& licenses,
   return Validate(licenses, log, options);
 }
 
-void WriteString(std::ostream* out, const std::string& text) {
-  const uint32_t size = static_cast<uint32_t>(text.size());
-  out->write(reinterpret_cast<const char*>(&size), sizeof(size));
-  out->write(text.data(), size);
-}
-
-Result<std::string> ReadString(std::istream* in, uint32_t max_size) {
+Result<std::string> ReadString(std::string_view bytes, size_t* pos,
+                               uint32_t max_size) {
   uint32_t size = 0;
-  in->read(reinterpret_cast<char*>(&size), sizeof(size));
-  if (!*in || size > max_size) {
+  if (!GetScalar(bytes, pos, &size) || size > max_size) {
     return Status::ParseError("bad string in checkpoint");
   }
-  std::string text(size, '\0');
-  in->read(text.data(), size);
-  if (!*in) {
+  if (bytes.size() - *pos < size) {
     return Status::ParseError("truncated string in checkpoint");
   }
+  std::string text(bytes.substr(*pos, size));
+  *pos += size;
   return text;
+}
+
+// One log record: the set as its word count, four zero bytes and its
+// words (the layout of an inline LicenseSet in memory, which is what
+// these files have always held for sets of up to 64 licenses), the count,
+// then the length-prefixed issued-license id.
+void PutRecord(const LogRecord& record, std::string* out) {
+  PutScalar(out, static_cast<uint32_t>(record.set.WordCount()));
+  PutScalar(out, uint32_t{0});
+  for (int w = 0; w < record.set.WordCount(); ++w) {
+    PutScalar(out, record.set.Word(w));
+  }
+  PutScalar(out, record.count);
+  framing::PutString(out, record.issued_license_id);
+}
+
+Status ReadRecord(std::string_view bytes, size_t* pos, LogRecord* record) {
+  uint32_t word_count = 0;
+  uint32_t padding = 0;
+  uint64_t words[kMaxLicenseWords];
+  if (!GetScalar(bytes, pos, &word_count) ||
+      !GetScalar(bytes, pos, &padding)) {
+    return Status::ParseError("truncated record in checkpoint");
+  }
+  if (word_count < 1 || word_count > static_cast<uint32_t>(kMaxLicenseWords)) {
+    return Status::ParseError("bad record set in checkpoint");
+  }
+  for (uint32_t w = 0; w < word_count; ++w) {
+    if (!GetScalar(bytes, pos, &words[w])) {
+      return Status::ParseError("truncated record in checkpoint");
+    }
+  }
+  record->set = LicenseSet::FromWords({words, word_count});
+  if (!GetScalar(bytes, pos, &record->count)) {
+    return Status::ParseError("truncated record in checkpoint");
+  }
+  GEOLIC_ASSIGN_OR_RETURN(record->issued_license_id,
+                          ReadString(bytes, pos, 1u << 12));
+  return Status::Ok();
+}
+
+// Reads a checkpoint file whole and checks its magic; `*pos` lands after.
+Result<std::string> ReadCheckpointBytes(const std::string& path,
+                                        const char (&magic)[8],
+                                        const char* what, size_t* pos) {
+  GEOLIC_ASSIGN_OR_RETURN(std::string bytes, ReadFileBytes(path));
+  if (bytes.size() < sizeof(magic) ||
+      std::memcmp(bytes.data(), magic, sizeof(magic)) != 0) {
+    return Status::ParseError(std::string("not a geolic ") + what + ": " +
+                              path);
+  }
+  *pos = sizeof(magic);
+  return bytes;
+}
+
+Status WriteCheckpointBytes(const std::string& path,
+                            const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary);
+  if (!out) {
+    return Status::IoError("cannot open for writing: " + path);
+  }
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  out.close();
+  if (!out) {
+    return Status::IoError("checkpoint write failed: " + path);
+  }
+  return Status::Ok();
 }
 
 }  // namespace
@@ -189,75 +257,48 @@ Result<ValidationAuthority::PeriodClose> ValidationAuthority::ClosePeriod(
 }
 
 Status ValidationAuthority::CheckpointLogs(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    return Status::IoError("cannot open for writing: " + path);
-  }
-  out.write(kCheckpointMagic, sizeof(kCheckpointMagic));
-  const uint32_t domain_count = static_cast<uint32_t>(domains_.size());
-  out.write(reinterpret_cast<const char*>(&domain_count),
-            sizeof(domain_count));
+  std::string out(kCheckpointMagic, sizeof(kCheckpointMagic));
+  PutScalar(&out, static_cast<uint32_t>(domains_.size()));
   for (const auto& [key, domain] : domains_) {
-    WriteString(&out, key.content);
-    const int32_t permission = static_cast<int32_t>(key.permission);
-    out.write(reinterpret_cast<const char*>(&permission),
-              sizeof(permission));
+    framing::PutString(&out, key.content);
+    PutScalar(&out, static_cast<int32_t>(key.permission));
     const LogStore log = domain.service->CollectLog();
-    const uint64_t records = log.size();
-    out.write(reinterpret_cast<const char*>(&records), sizeof(records));
+    PutScalar(&out, static_cast<uint64_t>(log.size()));
     for (const LogRecord& record : log.records()) {
-      out.write(reinterpret_cast<const char*>(&record.set),
-                sizeof(record.set));
-      out.write(reinterpret_cast<const char*>(&record.count),
-                sizeof(record.count));
-      WriteString(&out, record.issued_license_id);
+      PutRecord(record, &out);
     }
   }
-  if (!out) {
-    return Status::IoError("checkpoint write failed: " + path);
-  }
-  return Status::Ok();
+  return WriteCheckpointBytes(path, out);
 }
 
 Status ValidationAuthority::RestoreLogs(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::IoError("cannot open for reading: " + path);
-  }
-  char magic[sizeof(kCheckpointMagic)];
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kCheckpointMagic, sizeof(magic)) != 0) {
-    return Status::ParseError("not a geolic authority checkpoint: " + path);
-  }
+  size_t pos = 0;
+  GEOLIC_ASSIGN_OR_RETURN(
+      const std::string bytes,
+      ReadCheckpointBytes(path, kCheckpointMagic, "authority checkpoint",
+                          &pos));
   uint32_t domain_count = 0;
-  in.read(reinterpret_cast<char*>(&domain_count), sizeof(domain_count));
-  if (!in || domain_count > 1u << 20) {
+  if (!GetScalar(bytes, &pos, &domain_count) || domain_count > 1u << 20) {
     return Status::ParseError("bad domain count in checkpoint");
   }
 
   // Stage everything first so a bad checkpoint leaves state untouched.
   std::vector<std::pair<ContentKey, LogStore>> staged;
   for (uint32_t d = 0; d < domain_count; ++d) {
-    GEOLIC_ASSIGN_OR_RETURN(std::string content, ReadString(&in, 1u << 16));
+    GEOLIC_ASSIGN_OR_RETURN(std::string content,
+                            ReadString(bytes, &pos, 1u << 16));
     int32_t permission = 0;
     uint64_t records = 0;
-    in.read(reinterpret_cast<char*>(&permission), sizeof(permission));
-    in.read(reinterpret_cast<char*>(&records), sizeof(records));
-    if (!in || permission < 0 || permission >= kNumPermissions ||
-        records > uint64_t{1} << 32) {
+    if (!GetScalar(bytes, &pos, &permission) ||
+        !GetScalar(bytes, &pos, &records) || permission < 0 ||
+        permission >= kNumPermissions || records > uint64_t{1} << 32) {
       return Status::ParseError("bad domain header in checkpoint");
     }
     ContentKey key{std::move(content), static_cast<Permission>(permission)};
     LogStore log;
     for (uint64_t r = 0; r < records; ++r) {
       LogRecord record;
-      in.read(reinterpret_cast<char*>(&record.set), sizeof(record.set));
-      in.read(reinterpret_cast<char*>(&record.count), sizeof(record.count));
-      if (!in) {
-        return Status::ParseError("truncated record in checkpoint");
-      }
-      GEOLIC_ASSIGN_OR_RETURN(record.issued_license_id,
-                              ReadString(&in, 1u << 12));
+      GEOLIC_RETURN_IF_ERROR(ReadRecord(bytes, &pos, &record));
       GEOLIC_RETURN_IF_ERROR(log.Append(std::move(record)));
     }
     const auto it = domains_.find(key);
@@ -284,50 +325,23 @@ Status ValidationAuthority::RestoreLogs(const std::string& path) {
   return Status::Ok();
 }
 
-namespace {
-
-constexpr char kFullCheckpointMagic[8] = {'G', 'L', 'A', 'U', 'T', 'H', '2',
-                                          '\0'};
-
-}  // namespace
-
 Status ValidationAuthority::CheckpointFull(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    return Status::IoError("cannot open for writing: " + path);
-  }
-  out.write(kFullCheckpointMagic, sizeof(kFullCheckpointMagic));
-  const uint32_t domain_count = static_cast<uint32_t>(domains_.size());
-  out.write(reinterpret_cast<const char*>(&domain_count),
-            sizeof(domain_count));
+  std::string out(kFullCheckpointMagic, sizeof(kFullCheckpointMagic));
+  PutScalar(&out, static_cast<uint32_t>(domains_.size()));
   for (const auto& [key, domain] : domains_) {
-    WriteString(&out, key.content);
-    const int32_t permission = static_cast<int32_t>(key.permission);
-    out.write(reinterpret_cast<const char*>(&permission),
-              sizeof(permission));
-    const uint32_t license_count =
-        static_cast<uint32_t>(domain.licenses->size());
-    out.write(reinterpret_cast<const char*>(&license_count),
-              sizeof(license_count));
-    for (int i = 0; i < domain.licenses->size(); ++i) {
-      GEOLIC_RETURN_IF_ERROR(
-          WriteLicenseBinary(domain.licenses->at(i), &out));
+    framing::PutString(&out, key.content);
+    PutScalar(&out, static_cast<int32_t>(key.permission));
+    PutScalar(&out, static_cast<uint32_t>(domain.licenses->size()));
+    for (const License& license : domain.licenses->licenses()) {
+      AppendLicenseBinary(license, &out);
     }
     const LogStore log = domain.service->CollectLog();
-    const uint64_t records = log.size();
-    out.write(reinterpret_cast<const char*>(&records), sizeof(records));
+    PutScalar(&out, static_cast<uint64_t>(log.size()));
     for (const LogRecord& record : log.records()) {
-      out.write(reinterpret_cast<const char*>(&record.set),
-                sizeof(record.set));
-      out.write(reinterpret_cast<const char*>(&record.count),
-                sizeof(record.count));
-      WriteString(&out, record.issued_license_id);
+      PutRecord(record, &out);
     }
   }
-  if (!out) {
-    return Status::IoError("checkpoint write failed: " + path);
-  }
-  return Status::Ok();
+  return WriteCheckpointBytes(path, out);
 }
 
 Status ValidationAuthority::RestoreFull(const std::string& path) {
@@ -335,31 +349,26 @@ Status ValidationAuthority::RestoreFull(const std::string& path) {
     return Status::FailedPrecondition(
         "RestoreFull requires an empty authority");
   }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::IoError("cannot open for reading: " + path);
-  }
-  char magic[sizeof(kFullCheckpointMagic)];
-  in.read(magic, sizeof(magic));
-  if (!in ||
-      std::memcmp(magic, kFullCheckpointMagic, sizeof(magic)) != 0) {
-    return Status::ParseError("not a geolic full checkpoint: " + path);
-  }
+  size_t pos = 0;
+  GEOLIC_ASSIGN_OR_RETURN(
+      const std::string bytes,
+      ReadCheckpointBytes(path, kFullCheckpointMagic, "full checkpoint",
+                          &pos));
   uint32_t domain_count = 0;
-  in.read(reinterpret_cast<char*>(&domain_count), sizeof(domain_count));
-  if (!in || domain_count > 1u << 20) {
+  if (!GetScalar(bytes, &pos, &domain_count) || domain_count > 1u << 20) {
     return Status::ParseError("bad domain count in checkpoint");
   }
 
   // Stage into a local map first; commit only on full success.
   std::map<ContentKey, Domain> staged;
   for (uint32_t d = 0; d < domain_count; ++d) {
-    GEOLIC_ASSIGN_OR_RETURN(std::string content, ReadString(&in, 1u << 16));
+    GEOLIC_ASSIGN_OR_RETURN(std::string content,
+                            ReadString(bytes, &pos, 1u << 16));
     int32_t permission = 0;
     uint32_t license_count = 0;
-    in.read(reinterpret_cast<char*>(&permission), sizeof(permission));
-    in.read(reinterpret_cast<char*>(&license_count), sizeof(license_count));
-    if (!in || permission < 0 || permission >= kNumPermissions ||
+    if (!GetScalar(bytes, &pos, &permission) ||
+        !GetScalar(bytes, &pos, &license_count) || permission < 0 ||
+        permission >= kNumPermissions ||
         license_count > static_cast<uint32_t>(kMaxLicensesLarge)) {
       return Status::ParseError("bad domain header in checkpoint");
     }
@@ -368,7 +377,8 @@ Status ValidationAuthority::RestoreFull(const std::string& path) {
     Domain domain;
     domain.licenses = std::make_unique<LicenseCatalog>(schema_);
     for (uint32_t i = 0; i < license_count; ++i) {
-      GEOLIC_ASSIGN_OR_RETURN(License license, ReadLicenseBinary(&in));
+      GEOLIC_ASSIGN_OR_RETURN(License license,
+                              ReadLicenseBinary(bytes, &pos));
       if (license.rect().dimensions() != schema_->dimensions()) {
         return Status::ParseError(
             "checkpoint license dimensionality disagrees with schema");
@@ -379,20 +389,13 @@ Status ValidationAuthority::RestoreFull(const std::string& path) {
       }
     }
     uint64_t records = 0;
-    in.read(reinterpret_cast<char*>(&records), sizeof(records));
-    if (!in || records > uint64_t{1} << 32) {
+    if (!GetScalar(bytes, &pos, &records) || records > uint64_t{1} << 32) {
       return Status::ParseError("bad record count in checkpoint");
     }
     LogStore log;
     for (uint64_t r = 0; r < records; ++r) {
       LogRecord record;
-      in.read(reinterpret_cast<char*>(&record.set), sizeof(record.set));
-      in.read(reinterpret_cast<char*>(&record.count), sizeof(record.count));
-      if (!in) {
-        return Status::ParseError("truncated record in checkpoint");
-      }
-      GEOLIC_ASSIGN_OR_RETURN(record.issued_license_id,
-                              ReadString(&in, 1u << 12));
+      GEOLIC_RETURN_IF_ERROR(ReadRecord(bytes, &pos, &record));
       if (!record.set.IsSubsetOf(domain.licenses->AllMask())) {
         return Status::ParseError(
             "checkpoint record references unknown license indexes");

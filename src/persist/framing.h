@@ -2,6 +2,7 @@
 #define GEOLIC_PERSIST_FRAMING_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <string_view>
@@ -20,6 +21,12 @@ void PutScalar(std::string* out, T value) {
   char bytes[sizeof(T)];
   std::memcpy(bytes, &value, sizeof(T));
   out->append(bytes, sizeof(T));
+}
+
+// Appends a u32 length prefix, then `text`'s bytes.
+inline void PutString(std::string* out, std::string_view text) {
+  PutScalar(out, static_cast<uint32_t>(text.size()));
+  out->append(text);
 }
 
 // Reads one scalar at `*pos`, advancing it; false when `bytes` is too

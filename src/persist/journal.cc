@@ -1,8 +1,6 @@
 #include "persist/journal.h"
 
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
 #include "licensing/license_serialization.h"
 #include "persist/framing.h"
@@ -54,8 +52,7 @@ void EncodeLogRecord(const LogRecord& record, std::string* out) {
     }
   }
   PutScalar(out, record.count);
-  PutScalar(out, static_cast<uint32_t>(record.issued_license_id.size()));
-  out->append(record.issued_license_id);
+  framing::PutString(out, record.issued_license_id);
 }
 
 Status DecodeLogRecord(std::string_view bytes, size_t* pos,
@@ -131,9 +128,9 @@ Status DecodeJournalPayload(std::string_view payload, JournalEntry* entry) {
   switch (tag) {
     case kAcquireTag: {
       entry->kind = JournalEntryKind::kAcquire;
-      std::istringstream in{std::string(payload.substr(pos))};
-      GEOLIC_ASSIGN_OR_RETURN(License license, ReadLicenseBinary(&in));
-      if (in.peek() != std::char_traits<char>::eof()) {
+      GEOLIC_ASSIGN_OR_RETURN(License license,
+                              ReadLicenseBinary(payload, &pos));
+      if (pos != payload.size()) {
         return Status::ParseError("trailing bytes inside acquire payload");
       }
       entry->acquired.emplace(std::move(license));
@@ -211,9 +208,9 @@ Status DecodeJournalPayload(std::string_view payload, JournalEntry* entry) {
       switch (op.op) {
         case TenantOpKind::kIssue:
         case TenantOpKind::kAcquire: {
-          std::istringstream in{std::string(payload.substr(pos))};
-          GEOLIC_ASSIGN_OR_RETURN(License license, ReadLicenseBinary(&in));
-          if (in.peek() != std::char_traits<char>::eof()) {
+          GEOLIC_ASSIGN_OR_RETURN(License license,
+                                  ReadLicenseBinary(payload, &pos));
+          if (pos != payload.size()) {
             return Status::ParseError(
                 "trailing bytes inside tenant op payload");
           }
@@ -292,12 +289,10 @@ Status JournalWriter::Append(uint64_t seq, const LogRecord& record) {
 }
 
 Status JournalWriter::AppendAcquire(uint64_t seq, const License& license) {
-  std::ostringstream body;
-  GEOLIC_RETURN_IF_ERROR(WriteLicenseBinary(license, &body));
   std::string payload;
   PutScalar(&payload, uint64_t{0});
   PutScalar(&payload, kAcquireTag);
-  payload.append(body.str());
+  AppendLicenseBinary(license, &payload);
   return AppendFrame(seq, payload);
 }
 
@@ -310,8 +305,7 @@ Status JournalWriter::AppendRevoke(uint64_t seq, int index,
   PutScalar(&payload, uint64_t{0});
   PutScalar(&payload, kRevokeTag);
   PutScalar(&payload, static_cast<uint32_t>(index));
-  PutScalar(&payload, static_cast<uint32_t>(license_id.size()));
-  payload.append(license_id);
+  framing::PutString(&payload, license_id);
   return AppendFrame(seq, payload);
 }
 
@@ -351,14 +345,11 @@ Status JournalWriter::AppendTenantOp(uint64_t seq, const TenantOpFrame& op) {
       if (!op.license.has_value()) {
         return Status::InvalidArgument("tenant issue/acquire needs a license");
       }
-      std::ostringstream body;
-      GEOLIC_RETURN_IF_ERROR(WriteLicenseBinary(*op.license, &body));
-      payload.append(body.str());
+      AppendLicenseBinary(*op.license, &payload);
       break;
     }
     case TenantOpKind::kRevoke:
-      PutScalar(&payload, static_cast<uint32_t>(op.revoke_id.size()));
-      payload.append(op.revoke_id);
+      framing::PutString(&payload, op.revoke_id);
       break;
     case TenantOpKind::kExpire:
       if (op.expire_dim < 0) {
@@ -533,16 +524,8 @@ Result<JournalReplay> JournalReader::Parse(std::string_view bytes) {
 }
 
 Result<JournalReplay> JournalReader::ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::IoError("cannot open for reading: " + path);
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) {
-    return Status::IoError("read failed: " + path);
-  }
-  return Parse(buffer.str());
+  GEOLIC_ASSIGN_OR_RETURN(const std::string bytes, ReadFileBytes(path));
+  return Parse(bytes);
 }
 
 }  // namespace geolic

@@ -5,6 +5,8 @@
 
 #include <cerrno>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 
 namespace geolic {
 namespace {
@@ -96,6 +98,19 @@ Status InMemorySyncFile::Close() {
   }
   closed_ = true;
   return Status::Ok();
+}
+
+Result<std::string> ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    return Status::IoError("cannot open for reading: " + path);
+  }
+  std::string bytes{std::istreambuf_iterator<char>(in),
+                    std::istreambuf_iterator<char>()};
+  if (in.bad()) {
+    return Status::IoError("read failed: " + path);
+  }
+  return bytes;
 }
 
 }  // namespace geolic

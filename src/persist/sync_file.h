@@ -72,6 +72,10 @@ class InMemorySyncFile : public SyncFile {
   bool closed_ = false;
 };
 
+// Reads the whole file at `path` (journals and checkpoints are parsed
+// from one in-memory copy).
+Result<std::string> ReadFileBytes(const std::string& path);
+
 }  // namespace geolic
 
 #endif  // GEOLIC_PERSIST_SYNC_FILE_H_

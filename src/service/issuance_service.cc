@@ -1101,6 +1101,16 @@ Status IssuanceService::CheckTables(const ValidationTree& replay) const {
   }
 }
 
+size_t IssuanceService::record_count() const {
+  const std::shared_ptr<const CatalogEpoch> epoch = Pin();
+  size_t records = 0;
+  for (const std::shared_ptr<Shard>& shard : epoch->shards) {
+    std::lock_guard<std::mutex> lock(shard->mutex);
+    records += shard->log.size();
+  }
+  return records;
+}
+
 size_t IssuanceService::slack_table_bytes() const {
   const LicenseGrouping& scopes = Pin()->scopes();
   size_t bytes = 0;

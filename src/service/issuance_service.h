@@ -324,6 +324,10 @@ class IssuanceService {
   // Σ_g 8·2^N_g over the current epoch.
   size_t slack_table_bytes() const;
 
+  // Number of log records, CollectLog().size() without the copy: one
+  // shard-lock hop per shard.
+  size_t record_count() const;
+
   // Admission headroom for satisfying set `s` (current-epoch indexes):
   // the least slack A[T] − C⟨T⟩ over S ⊆ T ⊆ scope — exactly the largest
   // count TryIssue would still accept for S. Fails when `s` is empty,

@@ -105,6 +105,47 @@ TEST_F(CatalogServiceTest, LazyCompileThenCacheHit) {
   EXPECT_TRUE((*catalog)->Close().ok());
 }
 
+// The residency model must not drift: after a revoke that removes a
+// license and cascades its records, the resident total equals what a
+// spill and reload of the tenant computes from scratch.
+TEST_F(CatalogServiceTest, RevokeCascadeLeavesTheModelAsAReloadFindsIt) {
+  Result<std::unique_ptr<CatalogService>> catalog =
+      CatalogService::Create(source_.get(), options_);
+  ASSERT_TRUE(catalog.ok());
+  constexpr uint64_t kTenant = 1;
+  int accepted = 0;
+  for (int i = 0; i < 200 && accepted < 6; ++i) {
+    Result<OnlineDecision> decision =
+        (*catalog)->TryIssue(kTenant, Request(kTenant));
+    ASSERT_TRUE(decision.ok()) << decision.status().message();
+    accepted += decision->accepted() ? 1 : 0;
+  }
+  ASSERT_GE(accepted, 2);
+  Result<CatalogService::TenantSnapshot> before =
+      (*catalog)->SnapshotTenant(kTenant);
+  ASSERT_TRUE(before.ok());
+  ASSERT_GT(before->log.size(), 0u);
+  const auto revoked = static_cast<size_t>(
+      *before->log.records()[0].set.Indexes().begin());
+  ASSERT_TRUE((*catalog)
+                  ->RevokeLicenseById(kTenant, before->licenses[revoked].id())
+                  .ok());
+  Result<CatalogService::TenantSnapshot> after =
+      (*catalog)->SnapshotTenant(kTenant);
+  ASSERT_TRUE(after.ok());
+  ASSERT_EQ(after->licenses.size() + 1, before->licenses.size());
+  ASSERT_LT(after->log.size(), before->log.size());  // Records cascaded.
+  EXPECT_EQ((*catalog)->stats().resident_tenants, 1u);
+  const size_t live = (*catalog)->stats().resident_bytes;
+
+  ASSERT_TRUE((*catalog)->SpillTenant(kTenant).ok());
+  EXPECT_EQ((*catalog)->stats().resident_bytes, 0u);
+  ASSERT_TRUE((*catalog)->TenantEpoch(kTenant).ok());
+  EXPECT_EQ((*catalog)->stats().loads, 1u);
+  EXPECT_EQ((*catalog)->stats().resident_bytes, live);
+  EXPECT_TRUE((*catalog)->Close().ok());
+}
+
 TEST_F(CatalogServiceTest, TinyBudgetEvictsColdTenants) {
   options_.memory_budget_bytes = 1;  // Floor: one resident tenant/shard.
   Result<std::unique_ptr<CatalogService>> catalog =
@@ -344,13 +385,14 @@ TEST_F(CatalogServiceTest, WideGroupTablesCountAgainstTheBudget) {
   EXPECT_EQ(stats.resident_tenants, 1u);
   EXPECT_GE(stats.resident_bytes, kWideTable);
 
-  // Revoking one license halves the group's table.
+  // Revoking one license halves the group's table and drops the license's
+  // own 1 KiB from the model.
   Result<Workload> wide = source.MakeTenant(0);
   ASSERT_TRUE(wide.ok());
   ASSERT_TRUE(
       (*catalog)->RevokeLicenseById(0, wide->licenses->at(0).id()).ok());
   EXPECT_EQ(stats.resident_bytes - (*catalog)->stats().resident_bytes,
-            kWideTable / 2);
+            kWideTable / 2 + 1024);
 
   // The first small tenant pushes the shard over budget: the wide tenant,
   // least recently used, is evicted, and the small ones then fit together.

@@ -1,5 +1,6 @@
 #include "drm/validation_authority.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 
@@ -379,6 +380,70 @@ TEST(ValidationAuthorityTest, FullCheckpointRestoreRoundTrip) {
   ASSERT_TRUE(over.ok());
   EXPECT_FALSE(over->accepted());
   std::remove(path.c_str());
+}
+
+// A record whose set names license 69 needs two words. Both checkpoint
+// formats must carry such sets by value and restore them exactly.
+TEST(ValidationAuthorityTest, WideSetCheckpointsRoundTrip) {
+  const ConstraintSchema schema = IntervalSchema(1);
+  constexpr int kLicenses = 70;
+  auto register_all = [&](ValidationAuthority* authority) {
+    for (int i = 0; i < kLicenses; ++i) {
+      ASSERT_TRUE(authority
+                      ->RegisterRedistribution(MakeFor(
+                          schema, "A" + std::to_string(i), "movie",
+                          Permission::kPlay, 10 * i, 10 * i + 5, 100))
+                      .ok());
+    }
+  };
+  ValidationAuthority original(&schema);
+  register_all(&original);
+  ASSERT_TRUE(original
+                  .ValidateIssue(UsageFor(schema, "U1", "movie",
+                                          Permission::kPlay, 690, 692, 3))
+                  ->accepted());
+  ASSERT_TRUE(original
+                  .ValidateIssue(UsageFor(schema, "U2", "movie",
+                                          Permission::kPlay, 1, 2, 4))
+                  ->accepted());
+  const ValidationAuthority::ContentKey key{"movie", Permission::kPlay};
+  const Result<LogStore> expected = original.LogFor(key);
+  ASSERT_TRUE(expected.ok());
+  ASSERT_EQ(expected->size(), 2u);
+  ASSERT_EQ(std::max(expected->records()[0].set.WordCount(),
+                     expected->records()[1].set.WordCount()),
+            2);
+
+  auto expect_same_log = [&](const ValidationAuthority& restored) {
+    const Result<LogStore> log = restored.LogFor(key);
+    ASSERT_TRUE(log.ok());
+    ASSERT_EQ(log->size(), expected->size());
+    for (size_t r = 0; r < log->size(); ++r) {
+      EXPECT_EQ(log->records()[r].set, expected->records()[r].set);
+      EXPECT_EQ(log->records()[r].count, expected->records()[r].count);
+      EXPECT_EQ(log->records()[r].issued_license_id,
+                expected->records()[r].issued_license_id);
+    }
+  };
+  const std::string full_path = TempPath(".full");
+  ASSERT_TRUE(original.CheckpointFull(full_path).ok());
+  ValidationAuthority from_full(&schema);
+  ASSERT_TRUE(from_full.RestoreFull(full_path).ok());
+  expect_same_log(from_full);
+
+  const std::string logs_path = TempPath(".ckpt");
+  ASSERT_TRUE(original.CheckpointLogs(logs_path).ok());
+  ValidationAuthority from_logs(&schema);
+  register_all(&from_logs);
+  ASSERT_TRUE(from_logs.RestoreLogs(logs_path).ok());
+  expect_same_log(from_logs);
+  // License 69's remaining budget survived the restore.
+  EXPECT_FALSE(from_logs
+                   .ValidateIssue(UsageFor(schema, "U3", "movie",
+                                           Permission::kPlay, 690, 692, 98))
+                   ->accepted());
+  std::remove(full_path.c_str());
+  std::remove(logs_path.c_str());
 }
 
 TEST(ValidationAuthorityTest, RestoreFullRequiresEmptyAuthority) {

@@ -161,9 +161,12 @@ TEST(FuzzRobustnessTest, TreeCheckpointLoaderSurvivesMutations) {
 TEST(FuzzRobustnessTest, LicenseBlobReaderSurvivesRandomBytes) {
   Rng rng(testing::TestSeed(6));
   for (int i = 0; i < 2000; ++i) {
-    std::stringstream stream(
-        RandomBytes(&rng, static_cast<size_t>(rng.UniformInt(0, 200))));
-    (void)ReadLicenseBinary(&stream);
+    const std::string bytes =
+        RandomBytes(&rng, static_cast<size_t>(rng.UniformInt(0, 200)));
+    size_t pos = 0;
+    if (ReadLicenseBinary(bytes, &pos).ok()) {
+      EXPECT_LE(pos, bytes.size());
+    }
   }
 }
 

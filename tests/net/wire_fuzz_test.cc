@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "geometry/hyper_rect.h"
 #include "net/wire.h"
 #include "test_util.h"
 #include "util/random.h"
@@ -15,8 +16,26 @@ using geolic::testing::IntervalSchema;
 using geolic::testing::MakeUsage;
 using geolic::testing::TestSeed;
 
+// A catalog-route payload: tenant id, then a license with every
+// dimension kind.
+std::string SampleTenantPayload() {
+  HyperRect rect;
+  rect.AddDim(ConstraintRange(Interval(3, 9)));
+  rect.AddDim(ConstraintRange(
+      MultiInterval::FromIntervals({Interval(0, 4), Interval(8, 12)})));
+  rect.AddDim(ConstraintRange(CategorySet(0x6)));
+  std::string payload;
+  EXPECT_TRUE(EncodeTenantIssueRequest(
+                  77,
+                  License("U-tenant", "K", LicenseType::kUsage,
+                          Permission::kPlay, std::move(rect), 2),
+                  &payload)
+                  .ok());
+  return payload;
+}
+
 // Representative frames for the corruption sweeps: empty payload, text
-// payload, and a real serialized license.
+// payload, a real serialized license, and a tenant-addressed license.
 std::vector<std::string> SampleFrames() {
   std::vector<std::string> frames;
   {
@@ -38,6 +57,12 @@ std::vector<std::string> SampleFrames() {
                     .ok());
     std::string bytes;
     EncodeFrame(FrameKind::kIssueRequest, 0xdeadbeef, payload, &bytes);
+    frames.push_back(std::move(bytes));
+  }
+  {
+    std::string bytes;
+    EncodeFrame(FrameKind::kTenantIssueRequest, 0xfeed,
+                SampleTenantPayload(), &bytes);
     frames.push_back(std::move(bytes));
   }
   return frames;
@@ -130,11 +155,85 @@ TEST(WireFuzzTest, RandomCorruptionNeverCrashes) {
       (void)DecodeIssueRequest(frame.payload);
     }
     if (result == DecodeResult::kFrame &&
+        frame.kind == FrameKind::kTenantIssueRequest) {
+      (void)DecodeTenantIssueRequest(frame.payload);
+    }
+    if (result == DecodeResult::kFrame &&
         frame.kind == FrameKind::kIssueResult) {
       IssueResult decoded;
       (void)DecodeIssueResult(frame.payload, &decoded);
     }
   }
+}
+
+// The CRCs stop corrupted bytes at the frame layer, so the sweeps above
+// rarely reach the payload decoder. Here the tenant payload is mutated
+// first and framed afterwards with valid CRCs: every frame arrives whole
+// and DecodeTenantIssueRequest (the catalog route's per-request decoder)
+// sees the damage. It must classify every input, and whatever it accepts
+// must re-encode to bytes that decode to the same license again.
+TEST(WireFuzzTest, MutatedTenantPayloadsReachTheDecoder) {
+  Rng rng(TestSeed(31337));
+  const std::string original = SampleTenantPayload();
+  int accepted = 0;
+  for (int iter = 0; iter < 20000; ++iter) {
+    std::string payload = original;
+    const int edits = 1 + static_cast<int>(rng.UniformIndex(4));
+    for (int e = 0; e < edits; ++e) {
+      switch (rng.UniformIndex(4)) {
+        case 0:  // Overwrite a byte.
+          payload[rng.UniformIndex(payload.size())] =
+              static_cast<char>(rng.UniformIndex(256));
+          break;
+        case 1:  // Flip one bit.
+          payload[rng.UniformIndex(payload.size())] ^=
+              static_cast<char>(1u << rng.UniformIndex(8));
+          break;
+        case 2:  // Truncate.
+          payload.resize(rng.UniformIndex(payload.size() + 1));
+          break;
+        default:  // Append garbage.
+          payload.push_back(static_cast<char>(rng.UniformIndex(256)));
+          break;
+      }
+      if (payload.empty()) {
+        payload.push_back(static_cast<char>(rng.UniformIndex(256)));
+      }
+    }
+    std::string bytes;
+    EncodeFrame(FrameKind::kTenantIssueRequest, 9, payload, &bytes);
+    Frame frame;
+    size_t consumed = 0;
+    std::string error;
+    ASSERT_EQ(TryDecodeFrame(bytes, &frame, &consumed, &error),
+              DecodeResult::kFrame)
+        << error;
+    ASSERT_EQ(frame.payload, payload);
+    const Result<TenantIssueRequest> decoded =
+        DecodeTenantIssueRequest(frame.payload);
+    if (!decoded.ok()) {
+      EXPECT_EQ(decoded.status().code(), StatusCode::kParseError);
+      continue;
+    }
+    ++accepted;
+    std::string again;
+    ASSERT_TRUE(
+        EncodeTenantIssueRequest(decoded->tenant_id, decoded->license, &again)
+            .ok());
+    const Result<TenantIssueRequest> redecoded =
+        DecodeTenantIssueRequest(again);
+    ASSERT_TRUE(redecoded.ok()) << redecoded.status().message();
+    EXPECT_EQ(redecoded->tenant_id, decoded->tenant_id);
+    EXPECT_EQ(redecoded->license.id(), decoded->license.id());
+    EXPECT_EQ(redecoded->license.content_key(),
+              decoded->license.content_key());
+    EXPECT_EQ(redecoded->license.aggregate_count(),
+              decoded->license.aggregate_count());
+    EXPECT_TRUE(redecoded->license.rect() == decoded->license.rect());
+  }
+  // Single overwrites of endpoint, mask and tenant-id bytes decode fine,
+  // so the accept branch above must really run.
+  EXPECT_GT(accepted, 100);
 }
 
 // Raw noise straight at the decoder (no valid frame as a starting point):

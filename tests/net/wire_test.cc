@@ -158,6 +158,20 @@ TEST(WireTest, IssueRequestRejectsTrailingBytes) {
   EXPECT_FALSE(DecodeIssueRequest(payload).ok());
 }
 
+TEST(WireTest, TenantIssueRequestRejectsTrailingBytes) {
+  const ConstraintSchema schema = IntervalSchema(1);
+  std::string payload;
+  ASSERT_TRUE(EncodeTenantIssueRequest(
+                  42, MakeUsage(schema, "U1", {{0, 1}}, 1), &payload)
+                  .ok());
+  const Result<TenantIssueRequest> clean = DecodeTenantIssueRequest(payload);
+  ASSERT_TRUE(clean.ok()) << clean.status().message();
+  EXPECT_EQ(clean->tenant_id, 42u);
+  EXPECT_EQ(clean->license.id(), "U1");
+  payload.push_back('\0');
+  EXPECT_FALSE(DecodeTenantIssueRequest(payload).ok());
+}
+
 TEST(WireTest, IssueRequestRejectsGarbage) {
   EXPECT_FALSE(DecodeIssueRequest("").ok());
   EXPECT_FALSE(DecodeIssueRequest("not a license").ok());

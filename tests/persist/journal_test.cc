@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include "persist/framing.h"
 #include "persist/sync_file.h"
+#include "util/crc32c.h"
 
 #include "test_util.h"
 
@@ -251,6 +253,58 @@ TEST(JournalTest, EncodeDecodeLogRecordRoundTrip) {
   EXPECT_EQ(decoded.issued_license_id, original.issued_license_id);
   EXPECT_EQ(decoded.set, original.set);
   EXPECT_EQ(decoded.count, original.count);
+}
+
+// Re-frames a one-frame journal with one more payload byte and valid
+// CRCs, so only the payload decoder can object to it.
+std::string WithTrailingPayloadByte(const std::string& journal) {
+  constexpr size_t kHeader = sizeof(kJournalMagic) + 4 + 8 + 4 + 4;
+  std::string payload = journal.substr(kHeader);
+  payload.push_back('\0');
+  std::string out = journal.substr(0, sizeof(kJournalMagic));
+  framing::PutScalar(&out, static_cast<uint32_t>(payload.size()));
+  framing::PutScalar(&out, uint64_t{1});
+  framing::PutScalar(
+      &out, Crc32c(std::string_view(out).substr(sizeof(kJournalMagic))));
+  framing::PutScalar(&out, Crc32c(payload));
+  return out + payload;
+}
+
+// Acquire and tenant-op frames end with a license; a byte after it is
+// corruption, not slack.
+TEST(JournalTest, LicenseFramesRejectOneTrailingByte) {
+  const ConstraintSchema schema = testing::IntervalSchema(2);
+  const License license =
+      testing::MakeRedistribution(schema, "LD9", {{0, 10}, {5, 6}}, 50);
+  TenantOpFrame issue;
+  issue.tenant_id = 7;
+  issue.tenant_seq = 1;
+  issue.license = license;
+  TenantOpFrame acquire = issue;
+  acquire.op = TenantOpKind::kAcquire;
+  for (int variant = 0; variant < 3; ++variant) {
+    auto file = std::make_unique<InMemorySyncFile>();
+    InMemorySyncFile* disk = file.get();
+    Result<std::unique_ptr<JournalWriter>> writer =
+        JournalWriter::Create(std::move(file));
+    ASSERT_TRUE(writer.ok());
+    const Status appended =
+        variant == 0   ? (*writer)->AppendAcquire(1, license)
+        : variant == 1 ? (*writer)->AppendTenantOp(1, issue)
+                       : (*writer)->AppendTenantOp(1, acquire);
+    ASSERT_TRUE(appended.ok()) << variant;
+    const Result<JournalReplay> clean = JournalReader::Parse(disk->contents());
+    ASSERT_TRUE(clean.ok()) << variant << ": " << clean.status().message();
+    ASSERT_EQ(clean->entries.size(), 1u);
+
+    const Result<JournalReplay> padded =
+        JournalReader::Parse(WithTrailingPayloadByte(disk->contents()));
+    ASSERT_FALSE(padded.ok()) << variant;
+    EXPECT_EQ(padded.status().code(), StatusCode::kParseError);
+    EXPECT_NE(padded.status().message().find("trailing bytes"),
+              std::string::npos)
+        << padded.status().message();
+  }
 }
 
 }  // namespace
